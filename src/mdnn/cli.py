@@ -20,15 +20,14 @@ from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                         AudioNetConfig, audio_forward, build_audio_net)
 from .errors import (DomainError, FormatError, GradientCheckError, InputError,
                      MdnnError, TrainingError)
-from .fusion import build_fusion_head, fused_forward
-from .layers import Net
+from .fusion import build_fusion_head, concat_outputs
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                         VideoNetConfig, build_video_net, param_count,
                         video_forward)
 
-TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
 def _read_config_file(path) -> dict:
@@ -40,14 +39,10 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key=value")
         k, v = (s.strip() for s in line.split("=", 1))
-        if k not in TRAIN_KEYS:
+        if k not in TRAIN_FIELDS:
             raise FormatError(f"{path}:{lineno}: unknown key {k!r}")
-        out[k] = v
+        out[k] = model_io.parse_field(TRAIN_FIELDS[k], v, f"{path}:{lineno}")
     return out
-
-
-_INT_KEYS = {"batch_size", "epochs", "rng_seed"}
-_STR_KEYS = {"regularization"}
 
 
 def _train_config(args) -> TrainConfig:
@@ -55,16 +50,11 @@ def _train_config(args) -> TrainConfig:
     values = {}
     if args.config:
         values.update(_read_config_file(args.config))
-    for key in TRAIN_KEYS:
+    for key in TRAIN_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    kwargs = {}
-    for name, v in values.items():
-        if isinstance(v, str) and name not in _STR_KEYS:
-            v = int(v) if name in _INT_KEYS else float(v)
-        kwargs[name] = v
-    cfg = TrainConfig(**kwargs)
+    cfg = TrainConfig(**values)
     print("resolved config: " + " ".join(
         f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)),
         file=sys.stderr)
@@ -102,34 +92,38 @@ def _load_split(args, rows):
     return {k: [rows[i] for i in idx] for k, idx in named.items()}
 
 
+def _task(kind: str, net, frozen=None):
+    """(features(rows), forward(x, mode)) for a model of ``kind``; ``frozen``
+    is the (video, audio) pair whose outputs a fusion head reads."""
+    if kind == "video":
+        return (lambda rows: trainer.video_features(rows, net.config)), net.forward
+    if kind == "audio":
+        return ((lambda rows: trainer.audio_features(rows, net.config)),
+                lambda x, mode="eval": audio_forward(net, x, mode))
+    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.forward
+
+
 def cmd_train(args) -> int:
     cfg = dataclasses.replace(_train_config(args), rng_seed=args.seed)
-    rows = datamod.read_manifest(args.data)
-    parts = _load_split(args, rows)
+    parts = _load_split(args, datamod.read_manifest(args.data))
     video_cfg, audio_cfg = _model_configs(args.tiny)
     out = Path(args.out)
 
+    frozen = None
     if args.model == "video":
         net = build_video_net(video_cfg, rng_seed=cfg.rng_seed)
-        feats = {k: trainer.video_features(v, video_cfg) for k, v in parts.items()}
-        fwd = net.forward
     elif args.model == "audio":
         net = build_audio_net(audio_cfg, rng_seed=cfg.rng_seed)
-        feats = {k: trainer.audio_features(v, audio_cfg) for k, v in parts.items()}
-        fwd = lambda x, mode="eval": audio_forward(net, x, mode)
     else:
-        vnet = model_io.load_net(args.video_dir)
-        anet = model_io.load_net(args.audio_dir)
+        frozen = (model_io.load_net(args.video_dir), model_io.load_net(args.audio_dir))
         net = build_fusion_head(rng_seed=cfg.rng_seed)
-        feats = {k: trainer.fusion_features(v, vnet, anet) for k, v in parts.items()}
-        fwd = net.forward
-
-    sets = {k: trainer.paired(feats[k], parts[k]) for k in parts}
+    features, forward = _task(args.model, net, frozen)
+    sets = {k: trainer.paired(features(rows), rows) for k, rows in parts.items()}
     loss_kind = "sigmoid" if args.model == "audio" else "onehot"
     logs = trainer.train_net(net, sets["train"], sets["val"], cfg,
-                             forward_fn=fwd, loss_kind=loss_kind)
-    if args.model == "fusion":
-        model_io.save_bundle(out, vnet, anet, net)
+                             forward_fn=forward, loss_kind=loss_kind)
+    if frozen:
+        model_io.save_bundle(out, *frozen, net)
     else:
         model_io.save_net(out, net)
     trainer.write_epoch_log_csv(out / "epochs.csv", logs)
@@ -149,19 +143,17 @@ def cmd_eval(args) -> int:
     rows = datamod.read_manifest(args.data)
     part = _load_split(args, rows)[args.split]
     model_dir = Path(args.model_dir)
+    frozen = None
     if (model_dir / "bundle.txt").exists():
-        vnet, anet, fnet = model_io.load_bundle(model_dir)
-        feats = trainer.fusion_features(part, vnet, anet)
-        report = trainer.evaluate(fnet.forward, trainer.paired(feats, part))
+        vnet, anet, net = model_io.load_bundle(model_dir)
+        frozen = (vnet, anet)
     else:
         net = model_io.load_net(model_dir)
-        if model_io.model_kind(net) == "video":
-            feats = trainer.video_features(part, net.config)
-            report = trainer.evaluate(net.forward, trainer.paired(feats, part))
-        else:
-            feats = trainer.audio_features(part, net.config)
-            report = trainer.evaluate(lambda x: audio_forward(net, x),
-                                      trainer.paired(feats, part))
+        if model_io.model_kind(net) == "fusion":
+            raise FormatError(f"{model_dir}: a fusion head is evaluated through "
+                              "its bundle directory, the parent of this one")
+    features, forward = _task(model_io.model_kind(net), net, frozen)
+    report = trainer.evaluate(forward, trainer.paired(features(part), part))
     _print_report(f"{args.split}:", report)
     return 0
 
@@ -175,7 +167,7 @@ def cmd_predict(args) -> int:
     feats = feats[datamod.uniform_indices(feats.shape[0], anet.config.input_shape[0])]
     yv = video_forward(vnet, clip)
     ya = audio_forward(anet, feats)
-    p = fused_forward(vnet, anet, fnet, clip, feats)
+    p = fnet.forward(concat_outputs(yv, ya), mode="eval")
     label = int(np.argmax(p))
     print(f"label: {label} ({'positive' if label == 1 else 'negative'})")
     print(f"y_video: [{yv[0]:.6f}, {yv[1]:.6f}]")

@@ -140,9 +140,12 @@ def read_manifest(path) -> list[ManifestRow]:
         for rec in reader:
             if not rec["video"] or not rec["audio"]:
                 raise FormatError(f"{path}: empty path in manifest")
-            label = int(rec["label"])
+            try:
+                label = int(rec["label"])
+            except (TypeError, ValueError):  # missing or non-numeric
+                label = None
             if label not in (0, 1):
-                raise FormatError(f"{path}: label must be 0 or 1, got {rec['label']}")
+                raise FormatError(f"{path}: label must be 0 or 1, got {rec['label']!r}")
             rows.append(ManifestRow(rec["video"], rec["audio"], label))
     if not rows:
         raise FormatError(f"{path}: empty manifest")

@@ -3,8 +3,8 @@
 Fixed conventions (golden values depend on them):
   - 16 kHz mono PCM s16le input only;
   - 1024-sample (64 ms) periodic Hann windows, hop 256 (75% overlap);
-  - radix-2 FFT, one-sided 513 bins; a direct O(N^2) DFT stays in the module
-    as the comparison oracle;
+  - real FFT (``np.fft.rfft``), one-sided 513 bins; a direct O(N^2) DFT stays
+    in the module as the comparison oracle;
   - 80 triangular HTK-mel filters from 0 to 8000 Hz, peak-normalized to 1;
   - log floor 1e-10, orthonormal DCT-II, first 13 coefficients kept.
 """
@@ -12,7 +12,7 @@ Fixed conventions (golden values depend on them):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,40 +111,12 @@ def frame_and_window(clip: AudioClip, spec: StftSpec = StftSpec()) -> np.ndarray
     return x[idx] * hann_window(spec.window_len_samples)[None, :]
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def fft_radix2(frames: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DIT FFT over the last axis (power-of-two length)."""
-    x = np.asarray(frames, dtype=np.complex128)
-    n = x.shape[-1]
-    if n & (n - 1) or n < 2:
-        raise DimensionError(f"radix-2 FFT needs a power-of-two length, got {n}")
-    x = np.ascontiguousarray(x[..., _bit_reverse_permutation(n)])
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        v = x.reshape(x.shape[:-1] + (n // size, size))
-        t = v[..., half:] * tw
-        v[..., half:] = v[..., :half] - t
-        v[..., :half] += t
-        size *= 2
-    return x
-
-
 def fft_1024(frame: np.ndarray) -> np.ndarray:
     """One-sided spectrum, bins 0..512, of a length-1024 real frame (or batch)."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] != FFT_LEN:
         raise DimensionError(f"expected length {FFT_LEN} frames, got {frame.shape[-1]}")
-    return fft_radix2(frame)[..., :N_BINS]
+    return np.fft.rfft(frame)
 
 
 def dft_direct(frame: np.ndarray) -> np.ndarray:

@@ -53,32 +53,60 @@ def _check_onehot(y: np.ndarray):
         raise DomainError("labels must be one-hot rows over 2 classes")
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Binary cross-entropy -(1/N) * sum(y * log p) over a batch of 2-vectors.
-
-    With one-hot labels each row contributes exactly -log(p_true).
-    """
+def _checked_batch(p, y) -> tuple[np.ndarray, np.ndarray]:
+    """The shape and domain check every loss in LOSSES applies: matching
+    (N, 2) batches, probabilities strictly inside (0, 1), one-hot labels."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if p.shape != y.shape or p.shape[-1] != 2:
         raise DimensionError(f"p and y must be matching (N, 2) batches, got {p.shape}, {y.shape}")
     _check_probs(p)
     _check_onehot(y)
-    n = p.shape[0]
-    return float(-(y * np.log(p)).sum() / n)
+    return p, y
+
+
+def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
+    """Binary cross-entropy -(1/N) * sum(y * log p) over a batch of 2-vectors.
+
+    With one-hot labels each row contributes exactly -log(p_true).
+    """
+    p, y = _checked_batch(p, y)
+    return float(-(y * np.log(p)).sum() / p.shape[0])
 
 
 def bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """dL/dp for bce_loss: -(1/N) * y / p, same shape as p."""
-    p2 = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if p2.shape != y2.shape or p2.shape[-1] != 2:
-        raise DimensionError(f"p and y must be matching (N, 2) batches, got {p2.shape}, {y2.shape}")
-    _check_probs(p2)
-    _check_onehot(y2)
-    n = p2.shape[0]
-    grad = -(y2 / p2) / n
+    p2, y2 = _checked_batch(p, y)
+    grad = -(y2 / p2) / p2.shape[0]
     return grad.reshape(np.asarray(p).shape)
+
+
+def sigmoid_bce_loss(p: np.ndarray, y: np.ndarray) -> float:
+    """Two-sided binary cross-entropy for independent sigmoid outputs.
+
+    -(1/N) * sum[y log p + (1-y) log(1-p)].  The one-hot form (bce_loss)
+    is degenerate for uncoupled sigmoids: emitting 1 for every class zeroes
+    it regardless of the label, so sigmoid-output networks train on this
+    loss instead.  For softmax outputs the two coincide up to the (1-y) term
+    being redundant.
+    """
+    p, y = _checked_batch(p, y)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / p.shape[0])
+
+
+def sigmoid_bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dL/dp for sigmoid_bce_loss: (1/N) * (-y / p + (1 - y) / (1 - p))."""
+    p2, y2 = _checked_batch(p, y)
+    grad = (-(y2 / p2) + (1.0 - y2) / (1.0 - p2)) / p2.shape[0]
+    return grad.reshape(np.asarray(p).shape)
+
+
+# loss kind -> (loss, dL/dp): "onehot" for softmax heads, "sigmoid" for
+# uncoupled sigmoid outputs
+LOSSES = {
+    "onehot": (bce_loss, bce_backward),
+    "sigmoid": (sigmoid_bce_loss, sigmoid_bce_backward),
+}
 
 
 def fused_forward(video_net: Net, audio_net: Net, fusion_net: Net,

@@ -1,7 +1,8 @@
 """Layer objects with hand-written backward passes, composed into ``Net`` stacks.
 
-Parameters live on the layers as float64 arrays; a ``Net`` exposes them as a
-single ordered name -> array mapping (the serialization order).  Forward passes
+Parameters live on the layers as float64 arrays; a ``Composite`` (a ``Net``,
+or a residual block inside one) exposes its children's as a single ordered
+name -> array mapping (the serialization order).  Forward passes
 save whatever the matching backward pass needs; ``backward`` must be called in
 exact reverse order of ``forward``, which ``Net`` guarantees.
 """
@@ -33,6 +34,10 @@ class Layer:
 
     def zero_grad(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def full3d_weight_count(self) -> int:
+        """Weights with every (2+1)D factor pair counted as its full 3-D kernel."""
+        return sum(self.params[w].size for w in self.weight_names)
 
     def forward(self, x, mode="eval"):
         raise NotImplementedError
@@ -244,76 +249,109 @@ class Conv2Plus1D(Layer):
         return self.temporal_kernel * kh * kw * self.in_channels * self.out_channels
 
 
-class Residual2Plus1DBlock(Layer):
-    """y = relu(conv2(relu(conv1(x))) + shortcut(x)) with (2+1)D convolutions.
-
-    The shortcut is the identity when shape is preserved, otherwise a strided
-    1x1x1 channel projection.
-    """
+class Projection(Layer):
+    """Residual shortcut: a strided 1x1x1 channel projection on C x T x H x W."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
         super().__init__()
         self.in_channels, self.out_channels = in_channels, out_channels
         self.spatial_stride, self.temporal_stride = spatial_stride, temporal_stride
+        self.params = {"w": np.zeros((out_channels, in_channels)), "b": np.zeros(out_channels)}
+        self.weight_names = {"w"}
+        self.zero_grad()
+
+    def init_params(self, rng):
+        self.params["w"] = he_uniform(rng, (self.out_channels, self.in_channels),
+                                      self.in_channels)
+        self.params["b"] = np.zeros(self.out_channels)
+
+    def forward(self, x, mode="eval"):
+        self._shape = x.shape
+        self._xs = x[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride]
+        w, b = self.params["w"], self.params["b"]
+        return np.tensordot(w, self._xs, axes=([1], [0])) + b[:, None, None, None]
+
+    def backward(self, grad_out):
+        self.grads["w"] += np.tensordot(grad_out, self._xs, axes=([1, 2, 3], [1, 2, 3]))
+        self.grads["b"] += grad_out.sum(axis=(1, 2, 3))
+        gs = np.tensordot(self.params["w"].T, grad_out, axes=([1], [0]))
+        gx = np.zeros(self._shape)
+        gx[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride] = gs
+        return gx
+
+
+class Composite:
+    """Named child layers whose parameters form one ordered namespace.
+
+    A child's parameter ``p`` is exposed as ``<child><SEP><p>``; the children
+    own the arrays, so the namespace is a view and never needs re-syncing.
+    """
+
+    SEP = "."
+
+    def __init__(self, layers: list[tuple[str, Layer]]):
+        self.layers = layers
+
+    def _joined(self, attr: str) -> dict[str, np.ndarray]:
+        return {f"{lname}{self.SEP}{pname}": arr
+                for lname, layer in self.layers
+                for pname, arr in getattr(layer, attr).items()}
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return self._joined("params")
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        return self._joined("grads")
+
+    @property
+    def weight_names(self) -> set[str]:
+        return {f"{lname}{self.SEP}{w}" for lname, layer in self.layers
+                for w in layer.weight_names}
+
+    def init_params(self, rng: np.random.Generator):
+        for _, layer in self.layers:
+            layer.init_params(rng)
+            layer.zero_grad()
+
+    def zero_grad(self):
+        for _, layer in self.layers:
+            layer.zero_grad()
+
+    def full3d_weight_count(self) -> int:
+        return sum(layer.full3d_weight_count() for _, layer in self.layers)
+
+
+class Residual2Plus1DBlock(Composite):
+    """y = relu(conv2(relu(conv1(x))) + shortcut(x)) with (2+1)D convolutions.
+
+    The shortcut is the identity when shape is preserved, otherwise a strided
+    1x1x1 channel projection.  Parameters are named ``c1.*``, ``c2.*`` and
+    ``proj.*``.
+    """
+
+    def __init__(self, in_channels: int, out_channels: int,
+                 spatial_stride=1, temporal_stride=1):
         self.conv1 = Conv2Plus1D(in_channels, out_channels,
                                  spatial_stride=spatial_stride,
                                  temporal_stride=temporal_stride)
         self.conv2 = Conv2Plus1D(out_channels, out_channels)
         self.projecting = (in_channels != out_channels
                            or spatial_stride != 1 or temporal_stride != 1)
-        self.params = {}
-        for name, layer in (("c1", self.conv1), ("c2", self.conv2)):
-            for k in layer.params:
-                self.params[f"{name}.{k}"] = layer.params[k]
+        layers = [("c1", self.conv1), ("c2", self.conv2)]
         if self.projecting:
-            self.params["proj.w"] = np.zeros((out_channels, in_channels))
-            self.params["proj.b"] = np.zeros(out_channels)
-            self.weight_names.add("proj.w")
-        self.weight_names |= {f"c1.{k}" for k in self.conv1.weight_names}
-        self.weight_names |= {f"c2.{k}" for k in self.conv2.weight_names}
-        self.zero_grad()
-
-    def _sync_children(self):
-        # children share storage with the flat dict; re-point after any rebind
-        for name, layer in (("c1", self.conv1), ("c2", self.conv2)):
-            for k in layer.params:
-                layer.params[k] = self.params[f"{name}.{k}"]
-                layer.grads[k] = self.grads[f"{name}.{k}"]
-
-    def init_params(self, rng):
-        self.conv1.init_params(rng)
-        self.conv2.init_params(rng)
-        for name, layer in (("c1", self.conv1), ("c2", self.conv2)):
-            for k in layer.params:
-                self.params[f"{name}.{k}"] = layer.params[k]
-        if self.projecting:
-            self.params["proj.w"] = he_uniform(rng, (self.out_channels, self.in_channels),
-                                               self.in_channels)
-            self.params["proj.b"] = np.zeros(self.out_channels)
-
-    def zero_grad(self):
-        super().zero_grad()
-        self.conv1.zero_grad()
-        self.conv2.zero_grad()
-        self._sync_children()
-
-    def _shortcut(self, x):
-        if not self.projecting:
-            return x
-        xs = x[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride]
-        self._xs = xs
-        w, b = self.params["proj.w"], self.params["proj.b"]
-        return np.tensordot(w, xs, axes=([1], [0])) + b[:, None, None, None]
+            self.proj = Projection(in_channels, out_channels, spatial_stride, temporal_stride)
+            layers.append(("proj", self.proj))
+        super().__init__(layers)
 
     def forward(self, x, mode="eval"):
-        self._sync_children()
-        self._x = x
         h = self.conv1.forward(x, mode)
         self._h = h
         h = np.maximum(h, 0.0)
         h = self.conv2.forward(h, mode)
-        s = self._shortcut(x)
+        s = self.proj.forward(x, mode) if self.projecting else x
         if h.shape != s.shape:
             raise DimensionError(f"residual branch {h.shape} vs shortcut {s.shape}")
         self._pre = h + s
@@ -324,50 +362,16 @@ class Residual2Plus1DBlock(Layer):
         gb = self.conv2.backward(g)
         gb = gb * (self._h > 0.0)
         gx = self.conv1.backward(gb)
-        if self.projecting:
-            w = self.params["proj.w"]
-            self.grads["proj.w"] += np.tensordot(g, self._xs, axes=([1, 2, 3], [1, 2, 3]))
-            self.grads["proj.b"] += g.sum(axis=(1, 2, 3))
-            gs = np.tensordot(w.T, g, axes=([1], [0]))
-            gfull = np.zeros_like(self._x)
-            gfull[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride] = gs
-            gx = gx + gfull
-        else:
-            gx = gx + g
-        return gx
+        return gx + (self.proj.backward(g) if self.projecting else g)
 
 
-class Net:
+class Net(Composite):
     """Ordered layer stack with a flat, ordered parameter namespace."""
 
-    def __init__(self, layers: list[tuple[str, Layer]]):
-        self.layers = layers
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self.layers:
-            for pname, arr in layer.params.items():
-                out[f"{lname}/{pname}"] = arr
-        return out
-
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self.layers:
-            for pname, arr in layer.grads.items():
-                out[f"{lname}/{pname}"] = arr
-        return out
-
-    @property
-    def weight_names(self) -> set[str]:
-        out = set()
-        for lname, layer in self.layers:
-            out |= {f"{lname}/{p}" for p in layer.weight_names}
-        return out
+    SEP = "/"
 
     def set_param(self, name: str, value: np.ndarray):
-        lname, pname = name.split("/", 1)
+        lname, pname = name.split(self.SEP, 1)
         for ln, layer in self.layers:
             if ln == lname:
                 if pname not in layer.params:
@@ -380,14 +384,7 @@ class Net:
         raise KeyError(name)
 
     def init_params(self, seed: int):
-        rng = np.random.default_rng(seed)
-        for _, layer in self.layers:
-            layer.init_params(rng)
-            layer.zero_grad()
-
-    def zero_grad(self):
-        for _, layer in self.layers:
-            layer.zero_grad()
+        super().init_params(np.random.default_rng(seed))
 
     def jitter(self, seed: int, scale: float = 0.05):
         """Nudge every parameter off special points (zero biases put ReLU

@@ -10,6 +10,7 @@ is checkable at load time.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -40,58 +41,55 @@ def _kv_read(path) -> dict:
     return out
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split("x"))
+def _format_field(value) -> str:
+    """A config field value as model.txt and config files spell it."""
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def parse_field(field: dataclasses.Field, text: str, where) -> object:
+    """Parse ``text`` as the type of ``field``'s default: a tuple default reads
+    as x-joined ints, any other as its own type (int, float or str)."""
+    try:
+        if isinstance(field.default, tuple):
+            return tuple(int(p) for p in text.split("x"))
+        return type(field.default)(text)
+    except ValueError:
+        raise FormatError(f"{where}: {field.name}={text!r} is not a valid "
+                          f"{type(field.default).__name__}") from None
+
+
+# model kind -> (config dataclass, builder); a net without a config is a fusion head
+_KINDS = {"audio": (AudioNetConfig, build_audio_net),
+          "video": (VideoNetConfig, build_video_net)}
 
 
 def model_kind(net: Net) -> str:
     cfg = getattr(net, "config", None)
-    if isinstance(cfg, AudioNetConfig):
-        return "audio"
-    if isinstance(cfg, VideoNetConfig):
-        return "video"
-    return "fusion"
+    return next((k for k, (cls, _) in _KINDS.items() if isinstance(cfg, cls)), "fusion")
 
 
 def _arch_mapping(net: Net) -> dict:
-    kind = model_kind(net)
-    out = {"kind": kind}
-    if kind == "audio":
-        c = net.config
-        out.update(input_shape="x".join(map(str, c.input_shape)),
-                   conv_filters=c.conv_filters,
-                   kernel="x".join(map(str, c.kernel)),
-                   dropout_rate=c.dropout_rate,
-                   dense1_width=c.dense1_width,
-                   num_classes=c.num_classes)
-    elif kind == "video":
-        c = net.config
-        out.update(input_shape="x".join(map(str, c.input_shape)),
-                   stage_channels="x".join(map(str, c.stage_channels)),
-                   blocks_per_stage=c.blocks_per_stage,
-                   num_classes=c.num_classes)
+    out = {"kind": model_kind(net)}
+    cfg = getattr(net, "config", None)
+    if cfg is not None:
+        out.update((f.name, _format_field(getattr(cfg, f.name)))
+                   for f in dataclasses.fields(cfg))
     return out
 
 
-def _build_from_mapping(m: dict) -> Net:
+def _build_from_mapping(m: dict, where) -> Net:
     kind = m.get("kind")
-    if kind == "audio":
-        cfg = AudioNetConfig(input_shape=_ints(m["input_shape"]),
-                             conv_filters=int(m["conv_filters"]),
-                             kernel=_ints(m["kernel"]),
-                             dropout_rate=float(m["dropout_rate"]),
-                             dense1_width=int(m["dense1_width"]),
-                             num_classes=int(m["num_classes"]))
-        return build_audio_net(cfg, rng_seed=0)
-    if kind == "video":
-        cfg = VideoNetConfig(input_shape=_ints(m["input_shape"]),
-                             stage_channels=_ints(m["stage_channels"]),
-                             blocks_per_stage=int(m["blocks_per_stage"]),
-                             num_classes=int(m["num_classes"]))
-        return build_video_net(cfg, rng_seed=0)
     if kind == "fusion":
         return build_fusion_head(rng_seed=0)
-    raise FormatError(f"unknown model kind {kind!r}")
+    if kind not in _KINDS:
+        raise FormatError(f"{where}: unknown model kind {kind!r}")
+    cls, build = _KINDS[kind]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in m:
+            raise FormatError(f"{where}: missing key {f.name!r}")
+        kwargs[f.name] = parse_field(f, m[f.name], where)
+    return build(cls(**kwargs), rng_seed=0)
 
 
 def _param_filename(name: str) -> str:
@@ -114,7 +112,7 @@ def save_net(directory, net: Net):
 
 def load_net(directory) -> Net:
     directory = Path(directory)
-    net = _build_from_mapping(_kv_read(directory / "model.txt"))
+    net = _build_from_mapping(_kv_read(directory / "model.txt"), directory / "model.txt")
     names = (directory / "params.txt").read_text().split()
     if names != list(net.params):
         raise FormatError(f"{directory}: parameter list does not match architecture")

@@ -46,17 +46,6 @@ def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a[m,k] @ b[k,n]."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def _pad_amounts(size: int, kernel: int, stride: int, padding: str) -> tuple[int, int]:
     """(before, after) padding; 'same' puts the extra pixel after (bottom/right)."""
     if padding == "valid":
@@ -228,19 +217,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str, rng_seed: int) -> np.ndarray:
-    """Inverted dropout; eval mode is the identity, train mode is seeded."""
-    x = as_f64(x)
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
-        return x.copy()
-    rng = np.random.default_rng(rng_seed)
-    return x * dropout_mask(x.shape, rate, rng)
-
-
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Per-channel mean over every non-channel axis of x[C, ...]."""
     x = as_f64(x)
@@ -278,34 +254,26 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
+    def numeric_grad(arr: np.ndarray) -> np.ndarray:
+        # central differences, perturbing ``arr`` in place one entry at a time
+        numeric = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        num_flat = numeric.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = objective()
+            flat[i] = orig - h
+            fm = objective()
+            flat[i] = orig
+            num_flat[i] = (fp - fm) / (2.0 * h)
+        return numeric
+
     report = {"per_tensor": {}, "tolerance": tolerance}
     for name, p in model.params.items():
-        numeric = np.zeros_like(p)
-        flat = p.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = objective()
-            flat[i] = orig - h
-            fm = objective()
-            flat[i] = orig
-            num_flat[i] = (fp - fm) / (2.0 * h)
-        report["per_tensor"][name] = rel_err(model.grads[name], numeric)
-
+        report["per_tensor"][name] = rel_err(model.grads[name], numeric_grad(p))
     if check_input:
-        numeric = np.zeros_like(x)
-        flat = x.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = objective()
-            flat[i] = orig - h
-            fm = objective()
-            flat[i] = orig
-            num_flat[i] = (fp - fm) / (2.0 * h)
-        report["per_tensor"]["<input>"] = rel_err(grad_x, numeric)
+        report["per_tensor"]["<input>"] = rel_err(grad_x, numeric_grad(x))
 
     report["max_rel_err"] = max(report["per_tensor"].values(), default=0.0)
     report["ok"] = report["max_rel_err"] < tolerance

@@ -9,42 +9,19 @@ dropout masks and batch order are all driven by the configured seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as datamod
-from .audio_net import AudioNetConfig, audio_forward, build_audio_net
+from .audio_net import AudioNetConfig, audio_forward
 from .dsp import load_wav, mfcc
 from .errors import ConfigError, TrainingError
-from .fusion import bce_backward, bce_loss, build_fusion_head, concat_outputs
+from .fusion import LOSSES, concat_outputs
 from .layers import Net
-from .video_net import VideoNetConfig, build_video_net, video_forward
+from .video_net import VideoNetConfig, video_forward
 
 PROB_CLAMP = 1e-12  # explicit clamp applied before the strict-domain BCE
-
-
-def sigmoid_bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Two-sided binary cross-entropy for independent sigmoid outputs.
-
-    -(1/N) * sum[y log p + (1-y) log(1-p)].  The one-hot form (bce_loss)
-    is degenerate for uncoupled sigmoids: emitting 1 for every class zeroes
-    it regardless of the label, so sigmoid-output networks train on this
-    loss instead.  For softmax outputs the two coincide up to the (1-y) term
-    being redundant.
-    """
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    n = p.shape[0]
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / n)
-
-
-def sigmoid_bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    p2 = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    n = p2.shape[0]
-    grad = (-(y2 / p2) + (1.0 - y2) / (1.0 - p2)) / n
-    return grad.reshape(np.asarray(p).shape)
 
 
 @dataclass(frozen=True)
@@ -208,10 +185,9 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
     """
     if not train_set:
         raise ConfigError("empty training set")
-    if loss_kind not in ("onehot", "sigmoid"):
+    if loss_kind not in LOSSES:
         raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    loss_fn = bce_loss if loss_kind == "onehot" else sigmoid_bce_loss
-    grad_fn = bce_backward if loss_kind == "onehot" else sigmoid_bce_backward
+    loss_fn, grad_fn = LOSSES[loss_kind]
     fwd = forward_fn or net.forward
     net.reseed_dropout(config.rng_seed + 1)
     shuffle_rng = np.random.default_rng(config.rng_seed + 2)

@@ -8,7 +8,7 @@ the tiny configs exist for fast tests and gradient checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,19 +84,8 @@ def video_forward(net: Net, clip: np.ndarray) -> np.ndarray:
 
 def param_count(net: Net, mode: str = "factored") -> int:
     """Weight count (biases excluded) of the stored model or its full-3D twin."""
-    if mode not in ("factored", "full3d_equivalent"):
-        raise ValueError(f"unknown mode {mode!r}")
-    total = 0
-    for lname, layer in net.layers:
-        if isinstance(layer, Conv2Plus1D):
-            total += (layer.factored_weight_count() if mode == "factored"
-                      else layer.full3d_weight_count())
-        elif isinstance(layer, Residual2Plus1DBlock):
-            for conv in (layer.conv1, layer.conv2):
-                total += (conv.factored_weight_count() if mode == "factored"
-                          else conv.full3d_weight_count())
-            if layer.projecting:
-                total += layer.params["proj.w"].size
-        else:
-            total += sum(layer.params[w].size for w in layer.weight_names)
-    return total
+    if mode == "factored":
+        return sum(net.params[w].size for w in net.weight_names)
+    if mode == "full3d_equivalent":
+        return net.full3d_weight_count()
+    raise ValueError(f"unknown mode {mode!r}")

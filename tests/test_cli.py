@@ -1,5 +1,7 @@
 """Command-line interface tests: exit codes, round trips, reproducibility."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,40 @@ class TestDiagnostics:
     def test_gradcheck_fusion_passes(self, capsys):
         assert run(["gradcheck", "--model", "fusion"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestTypedParseErrors:
+    """Malformed files on the parse paths end as a FormatError, exit 2."""
+
+    def test_config_value_not_a_number(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=abc\n")
+        assert run(["train", "--model", "audio", "--tiny",
+                    "--data", str(workspace / "data" / "manifest.csv"),
+                    "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("num_classes=2\n", ""),
+        lambda t: t.replace("conv_filters=16", "conv_filters=sixteen"),
+        lambda t: t.replace("kernel=3x3", "kernel=3xx3"),
+    ], ids=["missing_key", "non_numeric", "bad_tuple"])
+    def test_bad_model_txt(self, workspace, tmp_path, capsys, edit):
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        (model / "model.txt").write_text(edit((model / "model.txt").read_text()))
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert "model.txt" in capsys.readouterr().err
+
+    def test_manifest_label_not_a_number(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("video,audio,label\nv.ntc,a.wav,x\n")
+        assert run(["eval", "--model-dir", str(workspace / "audio"),
+                    "--data", str(manifest)]) == 2
+        assert "label" in capsys.readouterr().err
+
+    def test_eval_fusion_subdirectory(self, workspace, capsys):
+        assert run(["eval", "--model-dir", str(workspace / "bundle" / "fusion"),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert "bundle" in capsys.readouterr().err

@@ -10,36 +10,6 @@ from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout,
 from mdnn.ops import ConvSpec
 
 
-def matmul_oracle(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(ops.matmul(np.eye(2), [[5.0], [6.0]]), [[5.0], [6.0]])
-
-    def test_hand_case(self):
-        got = ops.matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(got, [[17.0], [39.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        assert np.abs(ops.matmul(a, b) - matmul_oracle(a, b)).max() < 1e-12
-
-    def test_shape_mismatch_names_both(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ops.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
 class TestConv2d:
     def test_all_ones_sum(self):
         spec = ConvSpec(3, 3, 1, "valid", 1, 1)
@@ -145,32 +115,36 @@ class TestActivations:
         assert report["max_rel_err"] < 1e-5, report
 
 
+def dropout_train(x, rate, seed):
+    layer = Dropout(rate)
+    layer.reseed(seed)
+    return layer.forward(x, mode="train")
+
+
 class TestDropout:
     def test_rate_zero_train(self):
         x = np.arange(6.0)
-        assert np.array_equal(ops.dropout(x, 0.0, "train", 1), x)
+        assert np.array_equal(dropout_train(x, 0.0, 1), x)
 
     def test_eval_identity(self):
         x = np.arange(6.0)
-        assert np.array_equal(ops.dropout(x, 0.7, "eval", 1), x)
+        assert np.array_equal(Dropout(0.7).forward(x, mode="eval"), x)
 
     def test_zero_fraction_concentrates(self):
-        x = np.ones(100_000)
-        y = ops.dropout(x, 0.5, "train", 42)
+        y = dropout_train(np.ones(100_000), 0.5, 42)
         assert abs((y == 0).mean() - 0.5) < 0.01
 
     def test_expectation_preserved(self):
-        y = ops.dropout(np.ones(100_000), 0.5, "train", 43)
+        y = dropout_train(np.ones(100_000), 0.5, 43)
         assert abs(y.mean() - 1.0) < 0.01
 
     def test_deterministic_per_seed(self):
         x = np.ones(1000)
-        assert np.array_equal(ops.dropout(x, 0.3, "train", 9),
-                              ops.dropout(x, 0.3, "train", 9))
+        assert np.array_equal(dropout_train(x, 0.3, 9), dropout_train(x, 0.3, 9))
 
     def test_rate_one_rejected(self):
         with pytest.raises(ParameterError):
-            ops.dropout(np.ones(3), 1.0, "train", 0)
+            Dropout(1.0)
 
 
 class TestGlobalAvgPool:
