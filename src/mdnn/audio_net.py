@@ -26,6 +26,11 @@ class AudioNetConfig:
     dense1_width: int = 64
     num_classes: int = 2
 
+    def validate(self):
+        if len(self.input_shape) != 3 or len(self.kernel) != 2:
+            raise ConfigError(f"input_shape needs 3 entries and kernel 2, "
+                              f"got {self.input_shape} and {self.kernel}")
+
     def conv_output_shape(self) -> tuple[int, int, int]:
         h, w, _ = self.input_shape
         kh, kw = self.kernel
@@ -49,6 +54,7 @@ GRADCHECK_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1),
 
 
 def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int = 0) -> Net:
+    config.validate()
     kh, kw = config.kernel
     f = config.conv_filters
     net = Net([

@@ -67,8 +67,8 @@ def _model_configs(tiny: bool):
 
 
 def cmd_extract(args) -> int:
-    clip = datamod.preprocess_audio(dsp.load_wav(args.infile))
-    datamod.write_container(args.outfile, dsp.mfcc(clip))
+    datamod.write_container(args.outfile,
+                            datamod.audio_input(args.infile, dsp.REFERENCE_FRAMES))
     print(f"wrote {args.outfile}")
     return 0
 
@@ -160,13 +160,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     vnet, anet, fnet = model_io.load_bundle(args.model_dir)
-    clip = datamod.preprocess_video(datamod.read_container(args.video),
-                                    vnet.config.input_shape)
-    audio = datamod.preprocess_audio(dsp.load_wav(args.audio))
-    feats = dsp.mfcc(audio)
-    feats = feats[datamod.uniform_indices(feats.shape[0], anet.config.input_shape[0])]
-    yv = video_forward(vnet, clip)
-    ya = audio_forward(anet, feats)
+    yv = video_forward(vnet, datamod.video_input(args.video, vnet.config.input_shape))
+    ya = audio_forward(anet, datamod.audio_input(args.audio, anet.config.input_shape[0]))
     p = fnet.forward(concat_outputs(yv, ya), mode="eval")
     label = int(np.argmax(p))
     print(f"label: {label} ({'positive' if label == 1 else 'negative'})")
@@ -286,7 +281,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    except (FormatError, InputError, FileNotFoundError) as e:
+    except (FormatError, InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, GradientCheckError, DomainError) as e:

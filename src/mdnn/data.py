@@ -12,6 +12,7 @@ generators produce deterministic stand-in datasets with known structure.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import SAMPLE_RATE, AudioClip
-from .errors import DimensionError, FormatError, InputError
+from .errors import DimensionError, DomainError, FormatError, InputError
 
 MAGIC = b"MDNN"
 VERSION = 1
@@ -50,7 +51,7 @@ def read_container(path) -> np.ndarray:
     if len(blob) < header_end:
         raise FormatError(f"{path}: truncated dims")
     dims = struct.unpack_from(f"<{rank}I", blob, 7) if rank else ()
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # a Python int: no wrap-around for huge dims
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {8 * count}")
@@ -79,27 +80,22 @@ def uniform_indices(n_source: int, n_target: int) -> np.ndarray:
 
 
 def _resize_bilinear_2d(img: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Bilinear resize with endpoint-aligned sampling (identity at same size)."""
-    h0, w0 = img.shape
+    """Bilinear resize of the last two axes with endpoint-aligned sampling
+    (identity at same size)."""
+    def axis(n0, n):  # lower index, upper index and upper weight per output
+        pos = np.zeros(n) if n == 1 or n0 == 1 else np.arange(n) * (n0 - 1) / (n - 1)
+        lo = np.clip(np.floor(pos).astype(np.int64), 0, n0 - 1)
+        return lo, np.minimum(lo + 1, n0 - 1), pos - lo
 
-    def axis_coords(n0, n):
-        return np.zeros(n) if n == 1 or n0 == 1 else np.arange(n) * (n0 - 1) / (n - 1)
-
-    ys = axis_coords(h0, h)
-    xs = axis_coords(w0, w)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h0 - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w0 - 1)
-    y1 = np.minimum(y0 + 1, h0 - 1)
-    x1 = np.minimum(x0 + 1, w0 - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
-    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
+    y0, y1, fy = (a[:, None] for a in axis(img.shape[-2], h))
+    x0, x1, fx = axis(img.shape[-1], w)
+    top = img[..., y0, x0] * (1 - fx) + img[..., y0, x1] * fx
+    bot = img[..., y1, x0] * (1 - fx) + img[..., y1, x1] * fx
     return top * (1 - fy) + bot * fy
 
 
 def preprocess_video(frames: np.ndarray, target: tuple[int, int, int, int]) -> np.ndarray:
-    """Uniform temporal sampling + bilinear spatial resize + clamp to [0, 1]."""
+    """Finite check + uniform temporal sampling + bilinear resize + clamp to [0, 1]."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4:
         raise DimensionError(f"expected C x T x H x W, got shape {frames.shape}")
@@ -108,12 +104,22 @@ def preprocess_video(frames: np.ndarray, target: tuple[int, int, int, int]) -> n
         raise DimensionError(f"channel mismatch: input {frames.shape[0]}, target {c}")
     if frames.shape[1] < 1:
         raise InputError("video must contain at least one frame")
+    if not np.isfinite(frames).all():
+        raise DomainError("video contains non-finite values")
     picked = frames[:, uniform_indices(frames.shape[1], t)]
-    out = np.empty((c, t, h, w))
-    for ci in range(c):
-        for ti in range(t):
-            out[ci, ti] = _resize_bilinear_2d(picked[ci, ti], h, w)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(_resize_bilinear_2d(picked, h, w), 0.0, 1.0)
+
+
+def video_input(path, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """A tensor container file as a video network input of ``shape``."""
+    return preprocess_video(read_container(path), shape)
+
+
+def audio_input(path, n_frames: int) -> np.ndarray:
+    """A WAV file as an (n_frames, 13, 1) audio network input: the clip cut or
+    padded to the reference length, its MFCC, then uniformly subsampled frames."""
+    feats = dsp.mfcc(preprocess_audio(dsp.load_wav(path)))
+    return feats[uniform_indices(feats.shape[0], n_frames)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """MFCC front-end: WAV ingestion, STFT, Mel filterbank, log, DCT-II.
 
-Fixed conventions (golden values depend on them):
-  - 16 kHz mono PCM s16le input only;
-  - 1024-sample (64 ms) periodic Hann windows, hop 256 (75% overlap);
+Fixed conventions (golden values depend on them); the geometry is module
+constants, not parameters, and the Hann window, the mel bank and the DCT
+matrix are built once at import:
+  - 16 kHz mono PCM s16le input only; a chunk that claims more bytes than the
+    file holds is rejected;
+  - 1024-sample (64 ms) periodic Hann windows, hop 256 (75% overlap), framed
+    as a strided view of the clip;
   - real FFT (``np.fft.rfft``), one-sided 513 bins; a direct O(N^2) DFT stays
     in the module as the comparison oracle;
   - 80 triangular HTK-mel filters from 0 to 8000 Hz, peak-normalized to 1;
@@ -15,8 +19,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, InputError, UnsupportedFormatError
+from .errors import DimensionError, FormatError, InputError, UnsupportedFormatError
 
 SAMPLE_RATE = 16000
 WINDOW_LEN = 1024
@@ -38,13 +43,6 @@ class AudioClip:
     sample_rate_hz: int = SAMPLE_RATE
 
 
-@dataclass(frozen=True)
-class StftSpec:
-    window_len_samples: int = WINDOW_LEN
-    hop_samples: int = HOP
-    fft_len: int = FFT_LEN
-
-
 def load_wav(path) -> AudioClip:
     """Parse a RIFF/WAVE file: PCM 16-bit little-endian, mono, 16 kHz only."""
     with open(path, "rb") as f:
@@ -57,6 +55,9 @@ def load_wav(path) -> AudioClip:
     while pos + 8 <= len(blob):
         cid = blob[pos:pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
+        if pos + 8 + size > len(blob):
+            raise FormatError(f"truncated WAV: chunk {cid!r} claims {size} bytes, "
+                              f"{len(blob) - pos - 8} remain")
         body = blob[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             fmt = body
@@ -90,25 +91,19 @@ def write_wav(path, clip: AudioClip):
         f.write(b"data" + struct.pack("<I", len(data)) + data)
 
 
-def hann_window(n: int = WINDOW_LEN) -> np.ndarray:
-    # periodic variant: w[k] = 0.5 * (1 - cos(2 pi k / n))
-    k = np.arange(n)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
+def hann_window() -> np.ndarray:
+    # periodic variant: w[k] = 0.5 * (1 - cos(2 pi k / n)), n = 1024
+    k = np.arange(WINDOW_LEN)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / WINDOW_LEN))
 
 
-def n_frames_for(length: int, spec: StftSpec = StftSpec()) -> int:
-    return (length - spec.window_len_samples) // spec.hop_samples + 1
-
-
-def frame_and_window(clip: AudioClip, spec: StftSpec = StftSpec()) -> np.ndarray:
-    """Slice into hopped frames and apply the Hann window -> (n_frames, 1024)."""
+def frame_and_window(clip: AudioClip) -> np.ndarray:
+    """Slice into hopped frames and apply the Hann window -> (n_frames, 1024);
+    (n - 1024) // 256 + 1 frames for n samples."""
     x = np.asarray(clip.samples, dtype=np.float64)
-    if x.size < spec.window_len_samples:
-        raise InputError(
-            f"clip of {x.size} samples shorter than one {spec.window_len_samples}-sample window")
-    n = n_frames_for(x.size, spec)
-    idx = np.arange(spec.window_len_samples)[None, :] + spec.hop_samples * np.arange(n)[:, None]
-    return x[idx] * hann_window(spec.window_len_samples)[None, :]
+    if x.size < WINDOW_LEN:
+        raise InputError(f"clip of {x.size} samples shorter than one {WINDOW_LEN}-sample window")
+    return sliding_window_view(x, WINDOW_LEN)[::HOP] * _HANN
 
 
 def fft_1024(frame: np.ndarray) -> np.ndarray:
@@ -172,6 +167,8 @@ def dct2_matrix(n: int = N_MEL_FILTERS) -> np.ndarray:
     return d
 
 
+_HANN = hann_window()
+_MEL80 = build_mel_bank().matrix
 _DCT80 = dct2_matrix(N_MEL_FILTERS)
 
 
@@ -183,14 +180,10 @@ def dct2_ortho(x: np.ndarray) -> np.ndarray:
     return x @ _DCT80.T
 
 
-def mfcc(clip: AudioClip, spec: StftSpec = StftSpec(),
-         bank: MelBank | None = None) -> np.ndarray:
+def mfcc(clip: AudioClip) -> np.ndarray:
     """Full pipeline -> (n_frames, 13, 1); (778, 13, 1) at the reference length."""
-    if bank is None:
-        bank = build_mel_bank()
-    frames = frame_and_window(clip, spec)
-    power = power_spectrogram(frames)
-    mel = power @ bank.matrix.T
+    power = power_spectrogram(frame_and_window(clip))
+    mel = power @ _MEL80.T
     logmel = np.log(mel + LOG_FLOOR)
     coeffs = dct2_ortho(logmel)[:, :N_MFCC]
     return coeffs[:, :, None]

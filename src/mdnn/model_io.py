@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .audio_net import AudioNetConfig, build_audio_net
 from .data import read_container, write_container
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .fusion import CONCAT_ORDER, build_fusion_head
 from .layers import Net
 from .video_net import VideoNetConfig, build_video_net
@@ -89,7 +89,10 @@ def _build_from_mapping(m: dict, where) -> Net:
         if f.name not in m:
             raise FormatError(f"{where}: missing key {f.name!r}")
         kwargs[f.name] = parse_field(f, m[f.name], where)
-    return build(cls(**kwargs), rng_seed=0)
+    try:
+        return build(cls(**kwargs), rng_seed=0)
+    except ConfigError as e:
+        raise FormatError(f"{where}: {e}") from None
 
 
 def _param_filename(name: str) -> str:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import data as datamod
 from .audio_net import AudioNetConfig, audio_forward
-from .dsp import load_wav, mfcc
 from .errors import ConfigError, TrainingError
 from .fusion import LOSSES, concat_outputs
 from .layers import Net
@@ -37,6 +36,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -236,20 +237,11 @@ def write_epoch_log_csv(path, logs: list[EpochLog]):
 # ----- feature assembly from manifests ---------------------------------------
 
 def audio_features(rows, config: AudioNetConfig) -> list[np.ndarray]:
-    """WAV -> fixed-length clip -> MFCC -> uniform frame subsample per config."""
-    out = []
-    n_frames = config.input_shape[0]
-    for row in rows:
-        clip = datamod.preprocess_audio(load_wav(row.audio_path))
-        feats = mfcc(clip)
-        idx = datamod.uniform_indices(feats.shape[0], n_frames)
-        out.append(feats[idx])
-    return out
+    return [datamod.audio_input(row.audio_path, config.input_shape[0]) for row in rows]
 
 
 def video_features(rows, config: VideoNetConfig) -> list[np.ndarray]:
-    return [datamod.preprocess_video(datamod.read_container(row.video_path),
-                                     config.input_shape) for row in rows]
+    return [datamod.video_input(row.video_path, config.input_shape) for row in rows]
 
 
 def fusion_features(rows, video_net: Net, audio_net: Net,

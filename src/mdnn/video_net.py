@@ -29,6 +29,8 @@ class VideoNetConfig:
         return self.stage_channels[0]
 
     def validate(self):
+        if len(self.input_shape) != 4:
+            raise ConfigError(f"input_shape needs 4 entries, got {self.input_shape}")
         c, t, h, w = self.input_shape
         if min(self.input_shape) < 1 or not self.stage_channels:
             raise ConfigError(f"invalid input shape {self.input_shape}")

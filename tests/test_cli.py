@@ -1,12 +1,18 @@
 """Command-line interface tests: exit codes, round trips, reproducibility."""
 
 import shutil
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdnn import data as dm
+from mdnn import model_io, trainer
+from mdnn.audio_net import audio_forward
 from mdnn.cli import run
+from mdnn.fusion import fused_forward
+from mdnn.video_net import video_forward
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +95,33 @@ class TestTrainEvalPredict:
         stdout = capsys.readouterr().out
         assert "label:" in stdout and "fused:" in stdout
 
+    def test_predict_matches_training_features(self, workspace, capsys):
+        """predict reads its files through the same path as training and eval."""
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[3]
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", row.video_path, "--audio", row.audio_path]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        vnet, anet, fnet = model_io.load_bundle(workspace / "bundle")
+        clip = trainer.video_features([row], vnet.config)[0]
+        feats = trainer.audio_features([row], anet.config)[0]
+        for key, p in (("y_video", video_forward(vnet, clip)),
+                       ("y_audio", audio_forward(anet, feats)),
+                       ("fused", fused_forward(vnet, anet, fnet, clip, feats))):
+            want = f"{key + ':':9s}[{p[0]:.6f}, {p[1]:.6f}]"
+            assert want in printed, (want, printed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_non_finite_video_is_numeric_failure(self, workspace, tmp_path,
+                                                         capsys, bad):
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        frames = dm.read_container(row.video_path)
+        frames[0, 2, 5, 5] = bad
+        video = tmp_path / "bad.ntc"
+        dm.write_container(video, frames)
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", str(video), "--audio", row.audio_path]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_train_seed_reproducible(self, workspace, tmp_path, capsys):
         manifest = str(workspace / "data" / "manifest.csv")
         outs = []
@@ -119,6 +152,16 @@ class TestConfigFile:
         assert "epochs=1" in err      # flag wins
         assert "batch_size=4" in err  # file value survives
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_zero_epochs_is_usage_error(self, workspace, tmp_path, capsys, source):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=0\n")
+        extra = ["--epochs", "0"] if source == "flag" else ["--config", str(cfg)]
+        assert run(["train", "--model", "audio", "--tiny",
+                    "--data", str(workspace / "data" / "manifest.csv"),
+                    "--out", str(tmp_path / "o")] + extra) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
 
 class TestDiagnostics:
     def test_param_count(self, capsys):
@@ -132,7 +175,7 @@ class TestDiagnostics:
 
 
 class TestTypedParseErrors:
-    """Malformed files on the parse paths end as a FormatError, exit 2."""
+    """Malformed or unreadable input files end as a data/format error, exit 2."""
 
     def test_config_value_not_a_number(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
@@ -142,14 +185,16 @@ class TestTypedParseErrors:
                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "epochs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        lambda t: t.replace("num_classes=2\n", ""),
-        lambda t: t.replace("conv_filters=16", "conv_filters=sixteen"),
-        lambda t: t.replace("kernel=3x3", "kernel=3xx3"),
-    ], ids=["missing_key", "non_numeric", "bad_tuple"])
-    def test_bad_model_txt(self, workspace, tmp_path, capsys, edit):
-        model = tmp_path / "audio"
-        shutil.copytree(workspace / "audio", model)
+    @pytest.mark.parametrize("part, edit", [
+        ("audio", lambda t: t.replace("num_classes=2\n", "")),
+        ("audio", lambda t: t.replace("conv_filters=16", "conv_filters=sixteen")),
+        ("audio", lambda t: t.replace("kernel=3x3", "kernel=3xx3")),
+        ("audio", lambda t: t.replace("kernel=3x3", "kernel=3")),
+        ("video", lambda t: t.replace("input_shape=1x4x16x16", "input_shape=1x4x16")),
+    ], ids=["missing_key", "non_numeric", "bad_tuple", "short_kernel", "short_input_shape"])
+    def test_bad_model_txt(self, workspace, tmp_path, capsys, part, edit):
+        model = tmp_path / part
+        shutil.copytree(workspace / part, model)
         (model / "model.txt").write_text(edit((model / "model.txt").read_text()))
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
@@ -166,3 +211,23 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(workspace / "bundle" / "fusion"),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert "bundle" in capsys.readouterr().err
+
+    def test_inspect_directory(self, tmp_path, capsys):
+        assert run(["inspect", "--in", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_container_dims_overflow_int64(self, tmp_path, capsys):
+        # 2^21 * 2^21 * 2^22 = 2^64 wraps to 0 in int64; the payload is empty
+        p = tmp_path / "huge.ntc"
+        p.write_bytes(b"MDNN" + struct.pack("<BBB3I", 1, 1, 3, 2 ** 21, 2 ** 21, 2 ** 22))
+        assert run(["inspect", "--in", str(p)]) == 2
+        assert "payload" in capsys.readouterr().err
+
+    def test_predict_truncated_wav(self, workspace, tmp_path, capsys):
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        wav = tmp_path / "half.wav"
+        blob = Path(row.audio_path).read_bytes()
+        wav.write_bytes(blob[:len(blob) // 2])
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", row.video_path, "--audio", str(wav)]) == 2
+        assert "truncated" in capsys.readouterr().err

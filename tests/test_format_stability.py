@@ -1,11 +1,17 @@
 """Format stability: seeded parameters, model.txt text and tiny forward outputs
 are pinned to the values recorded before the residual-block namespace and the
-config codec were refactored, so a change to either cannot move them."""
+config codec were refactored, so a change to either cannot move them.  MFCC
+features and preprocessed video clips of seeded inputs are pinned to the values
+recorded before the MFCC front-end's geometry became fixed and the video resize
+became one call over all frames."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from mdnn import model_io
+from mdnn import data as dm
+from mdnn import dsp, model_io
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, AudioNetConfig,
                             audio_forward, build_audio_net)
 from mdnn.fusion import build_fusion_head, fused_forward
@@ -49,6 +55,31 @@ FORWARD = {
     "fused": ["0x1.0442af14dc04ap-3", "0x1.beef543ac8feep-1"],
 }
 
+# samples -> SHA-256 of the MFCC bytes of uniform(-1, 1) noise seeded by its length
+MFCC_SHA256 = {
+    1024: "998a496084c2f20d6d10c2248ce88cde8946bc5aa966f1de01335e725396fd2e",
+    5000: "0cac8e1ed9212f33795865b79ccc913cf9c726dee8257eb16ca28bd43d00b741",
+    60000: "1eddd6e41f812778be2332565862f61c4716d11141636f4246b54ccb094faedc",
+    199936: "d5637b9b4bbcf7fb9b1b716d5a7d098ec932b6be4b78a0a9269f5c536b9fe879",
+}
+
+# (source shape, target shape) -> SHA-256 of preprocess_video on uniform(-0.25,
+# 1.25) frames seeded by the sum of the source shape; the range exercises the clamp
+VIDEO_SHA256 = {
+    ((1, 16, 32, 32), (1, 4, 16, 16)):
+        "a160ba3e1e23bf8d0e23beff316f7a273ff5332d7d6161b60eec96202ffa19b3",
+    ((3, 20, 120, 97), (3, 16, 112, 112)):
+        "c4a51bf59c15e2d611c28acffa72219d32f7ab2556b395aaecc5d189aa0c4f1c",
+    ((1, 3, 8, 48), (1, 4, 16, 16)):
+        "1d4d19a08a99ab83a43466774bda88d878d41be852e465a00a4fa8633bf544f3",
+    ((2, 1, 1, 5), (2, 3, 1, 7)):
+        "3416779108e358eabdc3e87d029c783f26193af07785f9648eee566df8301f71",
+}
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(PARAM_SHA256))
 def test_seeded_param_sha256(name):
@@ -75,3 +106,19 @@ def test_tiny_forward_outputs_bitwise():
            "fused": fused_forward(vnet, anet, fnet, clip, feats)}
     for key, want in FORWARD.items():
         assert [float(v).hex() for v in got[key]] == want, key
+
+
+@pytest.mark.parametrize("n", sorted(MFCC_SHA256))
+def test_mfcc_bitwise(n):
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    out = dsp.mfcc(dsp.AudioClip(samples=x))
+    assert out.shape == ((n - 1024) // 256 + 1, 13, 1)
+    assert _sha256(out) == MFCC_SHA256[n]
+
+
+@pytest.mark.parametrize("src, dst", sorted(VIDEO_SHA256))
+def test_preprocess_video_bitwise(src, dst):
+    x = np.random.default_rng(sum(src)).uniform(-0.25, 1.25, src)
+    out = dm.preprocess_video(x, dst)
+    assert out.shape == dst
+    assert _sha256(out) == VIDEO_SHA256[(src, dst)]
