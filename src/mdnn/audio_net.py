@@ -75,10 +75,11 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int = 0
 
 
 def audio_forward(net: Net, mfcc: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Run the classifier on one (frames, 13, 1) MFCC matrix -> 2 probabilities."""
+    """Run the classifier on one (frames, 13, 1) MFCC matrix -> 2 probabilities,
+    or on an N x frames x 13 x 1 batch of them -> N x 2 probabilities in one pass."""
     mfcc = np.asarray(mfcc, dtype=np.float64)
-    cfg: AudioNetConfig = net.config
-    if mfcc.shape != cfg.input_shape:
-        raise DimensionError(f"mfcc shape {mfcc.shape} != expected {cfg.input_shape}")
-    x = mfcc.reshape(cfg.input_shape[0], cfg.input_shape[1]).copy()[None, :, :]
-    return net.forward(x, mode=mode)
+    frames, coeffs, _ = net.config.input_shape
+    if mfcc.shape[-3:] != net.config.input_shape:
+        raise DimensionError(f"mfcc shape {mfcc.shape} != expected {net.config.input_shape}")
+    # each (frames, 13, 1) matrix is the net's one-channel (1, frames, 13) image
+    return net.run(np.moveaxis(mfcc, -1, -3), (1, frames, coeffs), mode)

@@ -20,7 +20,7 @@ from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                         AudioNetConfig, audio_forward, build_audio_net)
 from .errors import (DomainError, FormatError, GradientCheckError, InputError,
                      MdnnError, TrainingError)
-from .fusion import build_fusion_head, concat_outputs
+from .fusion import FUSION_INPUT_DIM, build_fusion_head, concat_outputs
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
@@ -93,14 +93,17 @@ def _load_split(args, rows):
 
 
 def _task(kind: str, net, frozen=None):
-    """(features(rows), forward(x, mode)) for a model of ``kind``; ``frozen``
-    is the (video, audio) pair whose outputs a fusion head reads."""
+    """(features(rows), forward(x, mode)) for a model of ``kind``; forward takes
+    one sample or an N x ... batch of them.  ``frozen`` is the (video, audio)
+    pair whose outputs a fusion head reads."""
     if kind == "video":
-        return (lambda rows: trainer.video_features(rows, net.config)), net.forward
+        return ((lambda rows: trainer.video_features(rows, net.config)),
+                lambda x, mode="eval": video_forward(net, x, mode))
     if kind == "audio":
         return ((lambda rows: trainer.audio_features(rows, net.config)),
                 lambda x, mode="eval": audio_forward(net, x, mode))
-    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.forward
+    return ((lambda rows: trainer.fusion_features(rows, *frozen)),
+            lambda x, mode="eval": net.run(x, (FUSION_INPUT_DIM,), mode))
 
 
 def cmd_train(args) -> int:
@@ -235,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--tiny", action="store_true", help="use the small test architectures")
     s.add_argument("--epochs", type=int)
-    s.add_argument("--batch-size", dest="batch_size", type=int)
+    s.add_argument("--batch-size", dest="batch_size", type=int,
+                   help="samples per minibatch (default 8); each minibatch runs as one "
+                        "forward and one backward pass whose layer caches hold every "
+                        "sample, so peak memory grows with it")
     s.add_argument("--learning-rate", dest="learning_rate", type=float)
     s.add_argument("--regularization", choices=["none", "L1", "L2"])
     s.add_argument("--reg-lambda", dest="reg_lambda", type=float)

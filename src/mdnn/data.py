@@ -111,8 +111,13 @@ def preprocess_video(frames: np.ndarray, target: tuple[int, int, int, int]) -> n
 
 
 def video_input(path, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """A tensor container file as a video network input of ``shape``."""
-    return preprocess_video(read_container(path), shape)
+    """A tensor container file as a video network input of ``shape``; a file
+    whose rank or channel count does not fit is a FormatError naming it."""
+    frames = read_container(path)
+    try:
+        return preprocess_video(frames, shape)
+    except DimensionError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def audio_input(path, n_frames: int) -> np.ndarray:

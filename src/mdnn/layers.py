@@ -1,5 +1,11 @@
 """Layer objects with hand-written backward passes, composed into ``Net`` stacks.
 
+Every layer is batch-first: ``forward`` takes an N x ... batch, ``backward``
+the gradient of the whole batch's output, and the parameter gradients are
+summed over the batch.  ``Net.forward``/``Net.backward`` run one unbatched
+sample through a whole stack as the N=1 batch, and ``Net.run`` takes either
+form; the two (2+1)D layers' ``forward`` also take one clip (``sample_or_batch``).
+
 Parameters live on the layers as float64 arrays; a ``Composite`` (a ``Net``,
 or a residual block inside one) exposes its children's as a single ordered
 name -> array mapping (the serialization order).  Forward passes
@@ -8,6 +14,8 @@ exact reverse order of ``forward``, which ``Net`` guarantees.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,6 +27,18 @@ from .ops import ConvSpec
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
+
+
+def sample_or_batch(forward):
+    """Let the batch-first ``forward`` of a layer whose inputs have
+    ``sample_ndim`` axes also take one unbatched sample, as the N=1 batch;
+    the matching ``backward`` still takes that batch's gradient."""
+    @functools.wraps(forward)
+    def adapted(self, x, *args, **kwargs):
+        if np.ndim(x) == self.sample_ndim:
+            return forward(self, np.asarray(x)[None], *args, **kwargs)[0]
+        return forward(self, x, *args, **kwargs)
+    return adapted
 
 
 class Layer:
@@ -47,7 +67,7 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer on 1-D inputs: y = W.T @ x + b."""
+    """Fully connected layer on N x in_dim inputs: Y = X @ W + b."""
 
     def __init__(self, in_dim: int, out_dim: int):
         super().__init__()
@@ -61,19 +81,19 @@ class Dense(Layer):
         self.params["b"] = np.zeros(self.out_dim)
 
     def forward(self, x, mode="eval"):
-        if x.shape != (self.in_dim,):
-            raise DimensionError(f"dense expects shape ({self.in_dim},), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise DimensionError(f"dense expects shape (N, {self.in_dim}), got {x.shape}")
         self._x = x
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out):
-        self.grads["w"] += np.outer(self._x, grad_out)
-        self.grads["b"] += grad_out
+        self.grads["w"] += self._x.T @ grad_out
+        self.grads["b"] += grad_out.sum(axis=0)
         return grad_out @ self.params["w"].T
 
 
 class Conv2D(Layer):
-    """Single-sample 2-D convolution over C x H x W."""
+    """2-D convolution over N x C x H x W."""
 
     def __init__(self, spec: ConvSpec):
         super().__init__()
@@ -90,6 +110,8 @@ class Conv2D(Layer):
         self.params["b"] = np.zeros(s.out_channels)
 
     def forward(self, x, mode="eval"):
+        if x.ndim != 4:
+            raise DimensionError(f"conv2d layer expects N x C x H x W, got shape {x.shape}")
         self._x = x
         return ops.conv2d(x, self.params["w"], self.params["b"], self.spec)
 
@@ -117,7 +139,11 @@ class Activation(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout; the mask stream is owned by ``reseed`` for determinism."""
+    """Inverted dropout; the mask stream is owned by ``reseed`` for determinism.
+
+    A batch's mask is one draw of the batch's shape, so it equals the masks of
+    its samples drawn one after another from the same stream.
+    """
 
     def __init__(self, rate: float):
         super().__init__()
@@ -141,36 +167,43 @@ class Dropout(Layer):
 
 
 class Flatten(Layer):
+    """N x ... -> N x (product of the rest)."""
+
     def forward(self, x, mode="eval"):
         self._shape = x.shape
-        return x.reshape(-1)
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
 
 
 class GlobalAvgPool(Layer):
-    """C x ... -> C per-channel mean."""
+    """N x C x ... -> N x C per-channel mean."""
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
-        return ops.global_avg_pool(x)
+        n, c = x.shape[:2]
+        return ops.global_avg_pool(x.reshape(n * c, -1)).reshape(n, c)
 
     def backward(self, grad_out):
-        c = self._shape[0]
-        n = int(np.prod(self._shape[1:]))
-        return np.broadcast_to(grad_out.reshape((c,) + (1,) * (len(self._shape) - 1)),
-                               self._shape) / n
+        count = int(np.prod(self._shape[2:]))
+        return np.broadcast_to(grad_out.reshape(grad_out.shape + (1,) * (len(self._shape) - 2)),
+                               self._shape) / count
 
 
 class Conv2Plus1D(Layer):
-    """Factorized space-time convolution on C x T x H x W.
+    """Factorized space-time convolution on N x C x T x H x W.
 
-    A per-frame 2-D spatial convolution (in -> mid channels), a ReLU, then a
-    per-pixel 1-D temporal convolution (mid -> out channels).  mid == out, so
-    a 3x3x3 pair with equal channels c stores 9c^2 + 3c^2 = 12c^2 weights
-    versus 27c^2 for the unfactorized kernel.  Both factors use "same" padding.
+    A 2-D spatial convolution of every frame (in -> mid channels), a ReLU,
+    then a 1-D temporal convolution of every pixel (mid -> out channels).
+    mid == out, so a 3x3x3 pair with equal channels c stores 9c^2 + 3c^2 =
+    12c^2 weights versus 27c^2 for the unfactorized kernel.  Both factors use
+    "same" padding.  The spatial factor lowers the N*T frames of the batch,
+    and the temporal factor its N samples, into one im2col and one GEMM
+    each (in chunks at full scale; see ``ops._COLS_BYTES``).
     """
+
+    sample_ndim = 4
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_kernel=(3, 3), temporal_kernel=3,
@@ -205,41 +238,38 @@ class Conv2Plus1D(Layer):
                                        self.mid_channels * self.temporal_kernel)
         self.params["bt"] = np.zeros(self.out_channels)
 
+    @sample_or_batch
     def forward(self, x, mode="eval"):
-        if x.ndim != 4 or x.shape[0] != self.in_channels:
+        if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise DimensionError(
-                f"expected ({self.in_channels}, T, H, W), got shape {x.shape}")
+                f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
         self._x = x
-        t = x.shape[1]
-        mids = [ops.conv2d(x[:, f], self.params["ws"], self.params["bs"], self.spatial_spec)
-                for f in range(t)]
-        mid = np.stack(mids, axis=1)  # mid_channels x T x H' x W'
-        self._mid = mid
-        self._act = np.maximum(mid, 0.0)
-        c, tt, hh, ww = self._act.shape
-        flat = self._act.reshape(c, tt, hh * ww)
-        self._flat = flat
-        out = ops.conv2d(flat, self.params["wt"], self.params["bt"], self.temporal_spec,
+        # frames as N x T x C x H x W views; the spatial output is mid-major
+        mid = ops.conv2d(x.transpose(0, 2, 1, 3, 4), self.params["ws"], self.params["bs"],
+                         self.spatial_spec).transpose(0, 2, 1, 3, 4)
+        self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
+        n, c, tt, hh, ww = self._act.shape
+        # each sample's pixels are the columns of one T x (H'*W') image
+        self._flat = self._act.reshape(n, c, tt, hh * ww)
+        out = ops.conv2d(self._flat, self.params["wt"], self.params["bt"], self.temporal_spec,
                          stride_hw=(self.temporal_stride, 1))
-        return out.reshape(out.shape[0], out.shape[1], hh, ww)
+        return out.reshape(n, out.shape[1], out.shape[2], hh, ww)
 
     def backward(self, grad_out):
-        c, tt, hh, ww = self._act.shape
-        g = grad_out.reshape(grad_out.shape[0], grad_out.shape[1], hh * ww)
+        n, c, tt, hh, ww = self._act.shape
+        g = grad_out.reshape(grad_out.shape[:3] + (hh * ww,))
         gflat, gwt, gbt = ops.conv2d_backward(g, self._flat, self.params["wt"],
                                               self.temporal_spec,
                                               stride_hw=(self.temporal_stride, 1))
         self.grads["wt"] += gwt
         self.grads["bt"] += gbt
-        gmid = gflat.reshape(c, tt, hh, ww) * (self._mid > 0.0)
-        gx = np.empty_like(self._x)
-        for f in range(self._x.shape[1]):
-            gi, gws, gbs = ops.conv2d_backward(gmid[:, f], self._x[:, f],
-                                               self.params["ws"], self.spatial_spec)
-            self.grads["ws"] += gws
-            self.grads["bs"] += gbs
-            gx[:, f] = gi
-        return gx
+        gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
+        gx, gws, gbs = ops.conv2d_backward(gmid.transpose(0, 2, 1, 3, 4),
+                                           self._x.transpose(0, 2, 1, 3, 4),
+                                           self.params["ws"], self.spatial_spec)
+        self.grads["ws"] += gws
+        self.grads["bs"] += gbs
+        return gx.transpose(0, 2, 1, 3, 4)
 
     def factored_weight_count(self) -> int:
         return self.params["ws"].size + self.params["wt"].size
@@ -250,7 +280,7 @@ class Conv2Plus1D(Layer):
 
 
 class Projection(Layer):
-    """Residual shortcut: a strided 1x1x1 channel projection on C x T x H x W."""
+    """Residual shortcut: a strided 1x1x1 channel projection on N x C x T x H x W."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
@@ -268,16 +298,21 @@ class Projection(Layer):
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
-        self._xs = x[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride]
+        ts, ss = self.temporal_stride, self.spatial_stride
+        self._xs = x[:, :, ::ts, ::ss, ::ss]
         w, b = self.params["w"], self.params["b"]
-        return np.tensordot(w, self._xs, axes=([1], [0])) + b[:, None, None, None]
+        # one GEMM over the whole batch; the result is channel-major
+        y = np.moveaxis(np.tensordot(w, self._xs, axes=([1], [1])), 0, 1)
+        return y + b[:, None, None, None]
 
     def backward(self, grad_out):
-        self.grads["w"] += np.tensordot(grad_out, self._xs, axes=([1, 2, 3], [1, 2, 3]))
-        self.grads["b"] += grad_out.sum(axis=(1, 2, 3))
-        gs = np.tensordot(self.params["w"].T, grad_out, axes=([1], [0]))
+        rest = [0, 2, 3, 4]
+        self.grads["w"] += np.tensordot(grad_out, self._xs, axes=(rest, rest))
+        self.grads["b"] += grad_out.sum(axis=tuple(rest))
+        gs = np.moveaxis(np.tensordot(self.params["w"].T, grad_out, axes=([1], [1])), 0, 1)
         gx = np.zeros(self._shape)
-        gx[:, ::self.temporal_stride, ::self.spatial_stride, ::self.spatial_stride] = gs
+        ts, ss = self.temporal_stride, self.spatial_stride
+        gx[:, :, ::ts, ::ss, ::ss] = gs
         return gx
 
 
@@ -329,8 +364,10 @@ class Residual2Plus1DBlock(Composite):
 
     The shortcut is the identity when shape is preserved, otherwise a strided
     1x1x1 channel projection.  Parameters are named ``c1.*``, ``c2.*`` and
-    ``proj.*``.
+    ``proj.*``.  Inputs are N x C x T x H x W.
     """
+
+    sample_ndim = 4
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
@@ -346,19 +383,22 @@ class Residual2Plus1DBlock(Composite):
             layers.append(("proj", self.proj))
         super().__init__(layers)
 
+    @sample_or_batch
     def forward(self, x, mode="eval"):
+        # the ReLUs run in place on the convolutions' fresh outputs; each result
+        # is also its ReLU's mask (> 0) for the backward pass
         h = self.conv1.forward(x, mode)
-        self._h = h
-        h = np.maximum(h, 0.0)
-        h = self.conv2.forward(h, mode)
+        self._h = np.maximum(h, 0.0, out=h)
+        h = self.conv2.forward(self._h, mode)
         s = self.proj.forward(x, mode) if self.projecting else x
         if h.shape != s.shape:
             raise DimensionError(f"residual branch {h.shape} vs shortcut {s.shape}")
-        self._pre = h + s
-        return np.maximum(self._pre, 0.0)
+        h += s
+        self._y = np.maximum(h, 0.0, out=h)
+        return self._y
 
     def backward(self, grad_out):
-        g = grad_out * (self._pre > 0.0)
+        g = grad_out * (self._y > 0.0)
         gb = self.conv2.backward(g)
         gb = gb * (self._h > 0.0)
         gx = self.conv1.backward(gb)
@@ -366,7 +406,12 @@ class Residual2Plus1DBlock(Composite):
 
 
 class Net(Composite):
-    """Ordered layer stack with a flat, ordered parameter namespace."""
+    """Ordered layer stack with a flat, ordered parameter namespace.
+
+    ``forward_batch``/``backward_batch`` run an N x ... batch through every
+    layer once; ``forward``/``backward`` run one unbatched sample as the N=1
+    batch; ``run`` takes either, telling them apart by the sample shape.
+    """
 
     SEP = "/"
 
@@ -398,16 +443,33 @@ class Net(Composite):
             if isinstance(layer, Dropout):
                 layer.reseed(seed + i)
 
-    def forward(self, x, mode="eval"):
+    def forward_batch(self, x, mode="eval"):
         for _, layer in self.layers:
             x = layer.forward(x, mode)
         return x
 
-    def backward(self, grad_out):
+    def backward_batch(self, grad_out):
         g = grad_out
         for _, layer in reversed(self.layers):
             g = layer.backward(g)
         return g
+
+    def forward(self, x, mode="eval"):
+        return self.forward_batch(np.asarray(x)[None], mode)[0]
+
+    def backward(self, grad_out):
+        return self.backward_batch(np.asarray(grad_out)[None])[0]
+
+    def run(self, x, sample_shape: tuple, mode="eval"):
+        """Forward one sample of ``sample_shape`` or an (N,) + sample_shape
+        batch; DimensionError for any other shape."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape == sample_shape:
+            return self.forward(x, mode)
+        if x.shape[1:] == sample_shape:
+            return self.forward_batch(x, mode)
+        raise DimensionError(f"input shape {x.shape} != expected {sample_shape} "
+                             f"or (N,) + {sample_shape}")
 
     def param_bytes(self) -> bytes:
         return b"".join(np.ascontiguousarray(v).tobytes() for v in self.params.values())

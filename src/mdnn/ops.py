@@ -6,11 +6,15 @@ Tensors are plain ``numpy.ndarray`` objects in float64, row-major.
 
 Convolution is cross-correlation (no kernel flip).  The im2col-lowered path is
 the production path; ``conv2d_direct`` is a nested-loop reference kept in the
-package permanently so the two routes can always be compared.
+package permanently so the two routes can always be compared.  A convolution
+input is ``C x H x W`` behind any number of leading batch axes: every image of
+the batch is lowered into the columns of one patch matrix, so one GEMM serves
+the whole batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,12 @@ import numpy as np
 from .errors import DimensionError, GradientCheckError, ParameterError
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "softmax_lastdim")
+
+# Largest patch matrix one im2col builds from several images, in bytes: about
+# that of one full-scale frame (64 channels, 3x3 kernel, 112x112 output:
+# 58 MB).  A batch whose patch matrix would be larger is lowered in chunks of
+# its images; an image is never split.
+_COLS_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,8 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: str) -> int:
 
 
 def _check_conv_shapes(x, w, b, spec: ConvSpec):
-    if x.ndim != 3:
-        raise DimensionError(f"conv2d input must be C x H x W, got shape {x.shape}")
+    if x.ndim < 3:
+        raise DimensionError(f"conv2d input must be [batch x] C x H x W, got shape {x.shape}")
     if w.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
         raise DimensionError(
             f"weights shape {w.shape} does not match spec "
@@ -73,68 +83,112 @@ def _check_conv_shapes(x, w, b, spec: ConvSpec):
         )
     if b is not None and b.shape != (spec.out_channels,):
         raise DimensionError(f"bias shape {b.shape} != ({spec.out_channels},)")
-    if x.shape[0] != spec.in_channels:
-        raise DimensionError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
+    if x.shape[-3] != spec.in_channels:
+        raise DimensionError(f"input has {x.shape[-3]} channels, spec expects {spec.in_channels}")
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            ph: tuple[int, int], pw: tuple[int, int]) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold padded patches into a (C*kh*kw, out_h*out_w) matrix."""
-    c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), ph, pw))
-    hp, wp = xp.shape[1:]
+            ph: tuple[int, int], pw: tuple[int, int]) -> np.ndarray:
+    """Unfold the padded patches of x[*B, C, H, W] into a (C*kh*kw, |B|*out_h*out_w)
+    matrix; its columns run over the batch images, then output rows and columns."""
+    if ph != (0, 0) or pw != (0, 0):  # zero border (np.pad costs more on small images)
+        h, w = x.shape[-2:]
+        xp = np.zeros(x.shape[:-2] + (h + sum(ph), w + sum(pw)))
+        xp[..., ph[0]:ph[0] + h, pw[0]:pw[0] + w] = x
+        x = xp
+    *batch, c, hp, wp = x.shape
+    *sb, sc, s1, s2 = x.strides
     out_h = (hp - kh) // sh + 1
     out_w = (wp - kw) // sw + 1
-    s0, s1, s2 = xp.strides
     patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s1 * sh, s2 * sw),
+        x,
+        shape=(c, kh, kw, *batch, out_h, out_w),
+        strides=(sc, s1, s2, *sb, s1 * sh, s2 * sw),
         writeable=False,
     )
-    return patches.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
+    return patches.reshape(c * kh * kw, -1)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, out_hw) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back into an image."""
-    c, h, w = x_shape
+def _col2im_add(cols: np.ndarray, xp: np.ndarray, kh, kw, sh, sw, out_hw):
+    """Adjoint of _im2col: scatter-add columns into the padded image
+    xp[C, *B, Hp, Wp] (channel axis first)."""
     out_h, out_w = out_hw
-    xp = np.zeros((c, h + ph[0] + ph[1], w + pw[0] + pw[1]))
-    patches = cols.reshape(c, kh, kw, out_h, out_w)
+    patches = cols.reshape(xp.shape[0], kh, kw, *xp.shape[1:-2], out_h, out_w)
     for i in range(kh):
         for j in range(kw):
-            xp[:, i:i + out_h * sh:sh, j:j + out_w * sw:sw] += patches[:, i, j]
-    return xp[:, ph[0]:ph[0] + h, pw[0]:pw[0] + w]
+            xp[..., i:i + out_h * sh:sh, j:j + out_w * sw:sw] += patches[:, i, j]
 
 
-def _conv_geometry(x, spec: ConvSpec, stride_hw=None):
+def _batch_chunks(batch: tuple, image_bytes: int):
+    """Index tuples over the ``batch`` axes, in order, each selecting a run of
+    images whose patch matrices fit in _COLS_BYTES together (one image at
+    least): whole rows of the first axis, or else a run within one row."""
+    if not batch:
+        yield ()
+        return
+    inner = math.prod(batch[1:])
+    rows = _COLS_BYTES // max(image_bytes * inner, 1)
+    if rows == 0 and len(batch) > 1:
+        for a in range(batch[0]):
+            for rest in _batch_chunks(batch[1:], image_bytes):
+                yield (a,) + rest
+        return
+    step = max(rows, 1)
+    for a in range(0, batch[0], step):
+        yield (slice(a, a + step),)
+
+
+def _lowered(x: np.ndarray, spec: ConvSpec, stride_hw):
+    """Geometry of the convolution of x[*B, C, H, W] as (sh, sw, ph, pw, out_hw),
+    and an iterator over the chunks of its batch as (index, column slice,
+    patch matrix); the column slices tile the columns of the whole batch."""
     sh, sw = stride_hw if stride_hw is not None else (spec.stride, spec.stride)
-    ph = _pad_amounts(x.shape[1], spec.kernel_h, sh, spec.padding)
-    pw = _pad_amounts(x.shape[2], spec.kernel_w, sw, spec.padding)
-    if x.shape[1] + ph[0] + ph[1] < spec.kernel_h or x.shape[2] + pw[0] + pw[1] < spec.kernel_w:
+    h, w = x.shape[-2:]
+    ph = _pad_amounts(h, spec.kernel_h, sh, spec.padding)
+    pw = _pad_amounts(w, spec.kernel_w, sw, spec.padding)
+    if h + sum(ph) < spec.kernel_h or w + sum(pw) < spec.kernel_w:
         raise DimensionError(
             f"kernel ({spec.kernel_h}, {spec.kernel_w}) larger than padded input "
-            f"{(x.shape[1] + sum(ph), x.shape[2] + sum(pw))}"
+            f"{(h + sum(ph), w + sum(pw))}"
         )
-    return sh, sw, ph, pw
+    out_hw = ((h + sum(ph) - spec.kernel_h) // sh + 1, (w + sum(pw) - spec.kernel_w) // sw + 1)
+    image_cols = out_hw[0] * out_hw[1]
+    image_bytes = 8 * spec.in_channels * spec.kernel_h * spec.kernel_w * image_cols
+
+    def chunks():
+        start = 0
+        for idx in _batch_chunks(x.shape[:-3], image_bytes):
+            sub = x[idx]
+            stop = start + math.prod(sub.shape[:-3]) * image_cols
+            yield idx, slice(start, stop), _im2col(sub, spec.kernel_h, spec.kernel_w,
+                                                   sh, sw, ph, pw)
+            start = stop
+
+    return (sh, sw, ph, pw, out_hw), chunks()
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
            spec: ConvSpec, stride_hw: tuple[int, int] | None = None) -> np.ndarray:
-    """Cross-correlate x[C,H,W] with weights[C',C,kh,kw]; im2col fast path.
+    """Cross-correlate x[*B, C, H, W] with weights[C',C,kh,kw] -> [*B, C', H', W'].
 
+    im2col fast path, one GEMM per chunk of the batch (see _COLS_BYTES); the
+    result is a view of channel-major memory (C' x B x H' x W').
     ``stride_hw`` optionally overrides the spec stride per axis (used by the
     temporal factor of (2+1)D convolutions, which strides one axis only).
     """
-    x, weights = as_f64(x), as_f64(weights)
+    x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
     _check_conv_shapes(x, weights, bias, spec)
-    sh, sw, ph, pw = _conv_geometry(x, spec, stride_hw)
-    cols, out_hw = _im2col(x, spec.kernel_h, spec.kernel_w, sh, sw, ph, pw)
-    out = weights.reshape(spec.out_channels, -1) @ cols
+    (*_, out_hw), chunks = _lowered(x, spec, stride_hw)
+    batch = x.shape[:-3]
+    w2 = weights.reshape(spec.out_channels, -1)
+    out = np.empty((spec.out_channels, math.prod(batch) * out_hw[0] * out_hw[1]))
+    for _, cols_slice, cols in chunks:
+        np.matmul(w2, cols, out=out[:, cols_slice])
+        del cols  # before the next chunk's is built
     if bias is not None:
         out += bias[:, None]
-    return out.reshape(spec.out_channels, *out_hw)
+    return np.moveaxis(out.reshape(spec.out_channels, *batch, *out_hw), 0, -3)
 
 
 def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
@@ -143,10 +197,10 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     x, weights = as_f64(x), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
     _check_conv_shapes(x, weights, bias, spec)
-    sh, sw, ph, pw = _conv_geometry(x, spec, stride_hw)
+    if x.ndim > 3:  # one image at a time
+        return np.stack([conv2d_direct(xi, weights, bias, spec, stride_hw) for xi in x])
+    (sh, sw, ph, pw, (out_h, out_w)), _ = _lowered(x, spec, stride_hw)
     xp = np.pad(x, ((0, 0), ph, pw))
-    out_h = (xp.shape[1] - spec.kernel_h) // sh + 1
-    out_w = (xp.shape[2] - spec.kernel_w) // sw + 1
     out = np.zeros((spec.out_channels, out_h, out_w))
     for co in range(spec.out_channels):
         for i in range(out_h):
@@ -162,20 +216,31 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
 
 def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.ndarray,
                     spec: ConvSpec, stride_hw: tuple[int, int] | None = None):
-    """Gradients of the cross-correlation: (grad_input, grad_weights, grad_bias)."""
-    grad_out, x, weights = as_f64(grad_out), as_f64(saved_input), as_f64(weights)
+    """Gradients of the cross-correlation: (grad_input, grad_weights, grad_bias).
+
+    ``saved_input`` is the x[*B, C, H, W] given to ``conv2d``; the weight and
+    bias gradients are summed over the batch.
+    """
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x, weights = np.asarray(saved_input, dtype=np.float64), as_f64(weights)
     _check_conv_shapes(x, weights, None, spec)
-    sh, sw, ph, pw = _conv_geometry(x, spec, stride_hw)
-    cols, out_hw = _im2col(x, spec.kernel_h, spec.kernel_w, sh, sw, ph, pw)
-    if grad_out.shape != (spec.out_channels, *out_hw):
-        raise DimensionError(f"grad_out shape {grad_out.shape} != {(spec.out_channels, *out_hw)}")
-    g = grad_out.reshape(spec.out_channels, -1)
+    (sh, sw, ph, pw, out_hw), chunks = _lowered(x, spec, stride_hw)
+    *batch, c, h, w = x.shape
+    if grad_out.shape != (*batch, spec.out_channels, *out_hw):
+        raise DimensionError(
+            f"grad_out shape {grad_out.shape} != {(*batch, spec.out_channels, *out_hw)}")
+    g = np.moveaxis(grad_out, -3, 0).reshape(spec.out_channels, -1)
     grad_bias = g.sum(axis=1)
-    grad_weights = (g @ cols.T).reshape(weights.shape)
-    grad_cols = weights.reshape(spec.out_channels, -1).T @ g
-    grad_input = _col2im(grad_cols, x.shape, spec.kernel_h, spec.kernel_w,
-                         sh, sw, ph, pw, out_hw)
-    return grad_input, grad_weights, grad_bias
+    w2 = weights.reshape(spec.out_channels, -1)
+    grad_weights = np.zeros_like(w2)
+    xp = np.zeros((c, *batch, h + sum(ph), w + sum(pw)))
+    for idx, cols_slice, cols in chunks:
+        grad_weights += g[:, cols_slice] @ cols.T
+        del cols  # one patch-sized matrix at a time: this one, then grad_cols
+        _col2im_add(w2.T @ g[:, cols_slice], xp[(slice(None),) + idx],
+                    spec.kernel_h, spec.kernel_w, sh, sw, out_hw)
+    grad_input = np.moveaxis(xp[..., ph[0]:ph[0] + h, pw[0]:pw[0] + w], 0, -3)
+    return grad_input, grad_weights.reshape(weights.shape), grad_bias
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:

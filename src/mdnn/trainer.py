@@ -79,24 +79,37 @@ def init_adam_state(params: dict[str, np.ndarray]) -> dict:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: dict, config: TrainConfig):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
+    """One bias-corrected Adam update, in place; returns (params, state).
+
+    Computes p -= lr * m_hat / (sqrt(v_hat) + eps), operation by operation in
+    that order, into two scratch buffers shared by every tensor.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in tensor {name!r}")
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
+    size = max((p.size for p in params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         m = state["m"][name]
         v = state["v"][name]
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=a)
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        np.multiply(1 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1 - b1 ** t, out=a)  # m_hat
+        a *= config.learning_rate
+        np.divide(v, 1 - b2 ** t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += config.eps
+        a /= b
+        p -= a
     return params, state
 
 
@@ -143,17 +156,21 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
     )
 
 
-def evaluate(forward_fn, dataset) -> MetricsReport:
-    """Argmax predictions over (x, onehot-y) pairs; class 1 is positive."""
+def _confusion_report(pairs) -> MetricsReport:
+    """Metrics over (predicted, true) class pairs; class 1 is positive."""
     tp = fp = fn = tn = 0
-    for x, y in dataset:
-        pred = int(np.argmax(forward_fn(x)))
-        truth = int(np.argmax(y))
+    for pred, truth in pairs:
         if truth == 1:
             tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
         else:
             fp, tn = (fp + 1, tn) if pred == 1 else (fp, tn + 1)
     return metrics_from_counts(tp, fp, fn, tn)
+
+
+def evaluate(forward_fn, dataset) -> MetricsReport:
+    """Argmax predictions over (x, onehot-y) pairs, one sample per call."""
+    return _confusion_report((int(np.argmax(forward_fn(x))), int(np.argmax(y)))
+                            for x, y in dataset)
 
 
 # ----- training loop ----------------------------------------------------------
@@ -173,23 +190,34 @@ class EpochLog:
     val_recall: float | None
 
 
+def _minibatches(pairs, size: int, order=None):
+    """(xs, ys) stacks of ``size`` consecutive (x, y) pairs of ``pairs`` taken
+    in ``order`` (default: as stored); the last may be smaller."""
+    order = range(len(pairs)) if order is None else order
+    for start in range(0, len(order), size):
+        batch = [pairs[i] for i in order[start:start + size]]
+        yield np.stack([x for x, _ in batch]), np.stack([y for _, y in batch])
+
+
 def train_net(net: Net, train_set, val_set, config: TrainConfig,
               forward_fn=None, loss_kind: str = "onehot") -> list[EpochLog]:
     """Optimize ``net`` on (x, onehot-y) pairs; returns the per-epoch log.
 
-    ``forward_fn(x, mode)`` defaults to ``net.forward``; training calls it in
-    train mode and must immediately backpropagate each sample (layer caches
-    hold exactly one forward).  Output probabilities are clamped into
-    (0, 1) before the strict-domain cross-entropy.  ``loss_kind`` is
-    "onehot" (softmax heads) or "sigmoid" (two-sided, for uncoupled
-    sigmoid outputs).
+    ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
+    probabilities and defaults to ``net.forward_batch``.  Each minibatch runs
+    one train-mode forward and one ``net.backward_batch``, so the layer caches
+    hold exactly one minibatch and memory grows with ``batch_size``; the
+    validation set runs in eval-mode batches of the same size.  Output
+    probabilities are clamped into (0, 1) before the strict-domain
+    cross-entropy.  ``loss_kind`` is "onehot" (softmax heads) or "sigmoid"
+    (two-sided, for uncoupled sigmoid outputs).
     """
     if not train_set:
         raise ConfigError("empty training set")
     if loss_kind not in LOSSES:
         raise ConfigError(f"unknown loss_kind {loss_kind!r}")
     loss_fn, grad_fn = LOSSES[loss_kind]
-    fwd = forward_fn or net.forward
+    fwd = forward_fn or net.forward_batch
     net.reseed_dropout(config.rng_seed + 1)
     shuffle_rng = np.random.default_rng(config.rng_seed + 2)
     state = init_adam_state(net.params)
@@ -198,27 +226,24 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
         order = shuffle_rng.permutation(len(train_set))
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
-            n = len(batch)
+        for xs, ys in _minibatches(train_set, config.batch_size, order):
             net.zero_grad()
-            batch_loss = 0.0
-            for x, y in batch:
-                p = fwd(x, mode="train")
-                pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-                batch_loss += loss_fn(pc[None, :], y[None, :]) / n
-                net.backward(grad_fn(pc[None, :], y[None, :]).reshape(p.shape) / n)
+            p = np.clip(fwd(xs, mode="train"), PROB_CLAMP, 1.0 - PROB_CLAMP)
+            net.backward_batch(grad_fn(p, ys))
             penalty, contrib = reg_penalty(net, config.regularization, config.reg_lambda)
             for name, g in contrib.items():
                 net.grads[name] += g
-            loss = batch_loss + penalty
+            loss = loss_fn(p, ys) + penalty
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {n_batches}")
             adam_step(net.params, net.grads, state, config)
             epoch_loss += loss
             n_batches += 1
-        report = (evaluate(lambda x: fwd(x, mode="eval"), val_set)
-                  if val_set else MetricsReport(0, 0, 0, 0, None, None, None))
+        report = _confusion_report(
+            (int(pred), int(truth))
+            for xs, ys in _minibatches(val_set, config.batch_size)
+            for pred, truth in zip(np.argmax(fwd(xs, mode="eval"), axis=1),
+                                   np.argmax(ys, axis=1)))
         logs.append(EpochLog(epoch, epoch_loss / n_batches,
                              report.accuracy, report.precision, report.recall))
     return logs
@@ -244,14 +269,25 @@ def video_features(rows, config: VideoNetConfig) -> list[np.ndarray]:
     return [datamod.video_input(row.video_path, config.input_shape) for row in rows]
 
 
+# Input values per ``fusion_features`` eval batch.  An eval forward keeps its
+# layer caches: 265 bytes per input byte for the paper-scale video net, 1.3 GB
+# a clip.  At that ratio a batch holds about 17 MB; a paper-scale clip and its
+# MFCCs (612,226 values) run alone, and tiny pairs (1,232) in batches of 6.
+_FEATURE_BATCH_VALUES = 1 << 13
+
+
 def fusion_features(rows, video_net: Net, audio_net: Net,
                     vfeats=None, afeats=None) -> list[np.ndarray]:
-    """Frozen unimodal outputs concatenated into the head's 4-vector inputs."""
+    """Frozen unimodal outputs concatenated into the head's 4-vector inputs;
+    the nets run eval batches of at most ``_FEATURE_BATCH_VALUES`` input
+    values (one sample at least)."""
     vfeats = vfeats if vfeats is not None else video_features(rows, video_net.config)
     afeats = afeats if afeats is not None else audio_features(rows, audio_net.config)
-    return [concat_outputs(video_forward(video_net, v),
-                           audio_forward(audio_net, a, mode="eval"))
-            for v, a in zip(vfeats, afeats)]
+    pairs = list(zip(vfeats, afeats))
+    per_sample = np.size(pairs[0][0]) + np.size(pairs[0][1]) if pairs else 1
+    return [concat_outputs(v, a)
+            for vs, as_ in _minibatches(pairs, max(1, _FEATURE_BATCH_VALUES // per_sample))
+            for v, a in zip(video_forward(video_net, vs), audio_forward(audio_net, as_))]
 
 
 def paired(features, rows) -> list[tuple[np.ndarray, np.ndarray]]:

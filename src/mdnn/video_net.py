@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .layers import Activation, Conv2Plus1D, Dense, GlobalAvgPool, Net, Residual2Plus1DBlock
 from .ops import conv_out_size
 
@@ -75,13 +75,10 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int = 0
     return net
 
 
-def video_forward(net: Net, clip: np.ndarray) -> np.ndarray:
-    """Classify one C x T x H x W clip -> 2-class probability vector."""
-    clip = np.asarray(clip, dtype=np.float64)
-    cfg: VideoNetConfig = net.config
-    if clip.shape != cfg.input_shape:
-        raise DimensionError(f"clip shape {clip.shape} != expected {cfg.input_shape}")
-    return net.forward(clip, mode="eval")
+def video_forward(net: Net, clip: np.ndarray, mode: str = "eval") -> np.ndarray:
+    """Classify one C x T x H x W clip -> 2-class probability vector, or an
+    N x C x T x H x W batch of clips -> N x 2 probabilities in one pass."""
+    return net.run(clip, net.config.input_shape, mode)
 
 
 def param_count(net: Net, mode: str = "factored") -> int:

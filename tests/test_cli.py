@@ -231,3 +231,13 @@ class TestTypedParseErrors:
         assert run(["predict", "--model-dir", str(workspace / "bundle"),
                     "--video", row.video_path, "--audio", str(wav)]) == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (8, 16, 16)],
+                             ids=["two_channels", "rank_3"])
+    def test_predict_video_shape_mismatch(self, workspace, tmp_path, capsys, shape):
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        clip = tmp_path / "clip.ntc"
+        dm.write_container(clip, np.random.default_rng(0).random(shape))
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", str(clip), "--audio", row.audio_path]) == 2
+        assert str(clip) in capsys.readouterr().err

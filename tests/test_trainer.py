@@ -50,6 +50,41 @@ class TestAdam:
             adam_step(p, {"w": 2.0 * p["w"]}, state, cfg)
         assert np.abs(p["w"]).max() < 0.01
 
+    def test_bitwise_equal_to_textbook_formula(self):
+        """adam_step computes into scratch buffers; the formula it replaced,
+        kept here as the oracle, gives the same bits for p, m and v."""
+        def oracle(params, grads, state, config):
+            state["t"] += 1
+            t, b1, b2 = state["t"], config.beta1, config.beta2
+            for name, p in params.items():
+                g, m, v = grads[name], state["m"][name], state["v"][name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+        shapes = {"a/w": (7, 3), "a/b": (3,), "c/ws": (2, 1, 3, 3)}  # sizes differ
+        cfg = TrainConfig(learning_rate=0.003)
+        runs = []
+        for step_fn in (adam_step, oracle):
+            params = {k: np.random.default_rng(6).standard_normal(s)
+                      for k, s in shapes.items()}
+            state = init_adam_state(params)
+            grad_rng = np.random.default_rng(7)
+            for _ in range(6):
+                grads = {k: grad_rng.standard_normal(s) for k, s in shapes.items()}
+                step_fn(params, grads, state, cfg)
+            runs.append((params, state))
+        (p1, s1), (p2, s2) = runs
+        assert s1["t"] == s2["t"] == 6
+        for k in shapes:
+            assert np.array_equal(p1[k], p2[k])
+            assert np.array_equal(s1["m"][k], s2["m"][k])
+            assert np.array_equal(s1["v"][k], s2["v"][k])
+
     @pytest.mark.parametrize("scale", [10.0, 0.1])
     def test_step_nearly_invariant_to_gradient_scale(self, scale):
         g = np.array([0.5, -1.5, 2.0])
