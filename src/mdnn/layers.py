@@ -2,9 +2,9 @@
 
 Every layer is batch-first: ``forward`` takes an N x ... batch, ``backward``
 the gradient of the whole batch's output, and the parameter gradients are
-summed over the batch.  ``Net.forward``/``Net.backward`` run one unbatched
-sample through a whole stack as the N=1 batch, and ``Net.run`` takes either
-form; the two (2+1)D layers' ``forward`` also take one clip (``sample_or_batch``).
+summed over the batch.  Only ``Net.forward``/``Net.backward`` take one
+unbatched sample, which they run through the whole stack as the N=1 batch;
+``Net.run`` takes either form.
 
 Parameters live on the layers as float64 arrays; a ``Composite`` (a ``Net``,
 or a residual block inside one) exposes its children's as a single ordered
@@ -14,8 +14,6 @@ exact reverse order of ``forward``, which ``Net`` guarantees.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -27,18 +25,6 @@ from .ops import ConvSpec
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def sample_or_batch(forward):
-    """Let the batch-first ``forward`` of a layer whose inputs have
-    ``sample_ndim`` axes also take one unbatched sample, as the N=1 batch;
-    the matching ``backward`` still takes that batch's gradient."""
-    @functools.wraps(forward)
-    def adapted(self, x, *args, **kwargs):
-        if np.ndim(x) == self.sample_ndim:
-            return forward(self, np.asarray(x)[None], *args, **kwargs)[0]
-        return forward(self, x, *args, **kwargs)
-    return adapted
 
 
 class Layer:
@@ -130,12 +116,11 @@ class Activation(Layer):
         self.kind = kind
 
     def forward(self, x, mode="eval"):
-        self._x = x
         self._y = ops.activation(x, self.kind)
         return self._y
 
     def backward(self, grad_out):
-        return ops.activation_backward(grad_out, self._x, self._y, self.kind)
+        return ops.activation_backward(grad_out, self._y, self.kind)
 
 
 class Dropout(Layer):
@@ -203,8 +188,6 @@ class Conv2Plus1D(Layer):
     each (in chunks at full scale; see ``ops._COLS_BYTES``).
     """
 
-    sample_ndim = 4
-
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_kernel=(3, 3), temporal_kernel=3,
                  spatial_stride=1, temporal_stride=1):
@@ -238,7 +221,6 @@ class Conv2Plus1D(Layer):
                                        self.mid_channels * self.temporal_kernel)
         self.params["bt"] = np.zeros(self.out_channels)
 
-    @sample_or_batch
     def forward(self, x, mode="eval"):
         if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise DimensionError(
@@ -367,8 +349,6 @@ class Residual2Plus1DBlock(Composite):
     ``proj.*``.  Inputs are N x C x T x H x W.
     """
 
-    sample_ndim = 4
-
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
         self.conv1 = Conv2Plus1D(in_channels, out_channels,
@@ -383,7 +363,6 @@ class Residual2Plus1DBlock(Composite):
             layers.append(("proj", self.proj))
         super().__init__(layers)
 
-    @sample_or_batch
     def forward(self, x, mode="eval"):
         # the ReLUs run in place on the convolutions' fresh outputs; each result
         # is also its ReLU's mask (> 0) for the backward pass

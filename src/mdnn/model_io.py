@@ -14,6 +14,8 @@ import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 from .audio_net import AudioNetConfig, build_audio_net
 from .data import read_container, write_container
 from .errors import ConfigError, FormatError
@@ -120,7 +122,11 @@ def load_net(directory) -> Net:
     if names != list(net.params):
         raise FormatError(f"{directory}: parameter list does not match architecture")
     for name in names:
-        net.set_param(name, read_container(directory / _param_filename(name)))
+        path = directory / _param_filename(name)
+        value = read_container(path)
+        if not np.all(np.isfinite(value)):
+            raise FormatError(f"{path}: non-finite parameter values")
+        net.set_param(name, value)
     net.zero_grad()
     return net
 

@@ -258,11 +258,13 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     raise ParameterError(f"unknown activation kind {kind!r}")
 
 
-def activation_backward(grad_out: np.ndarray, saved_input: np.ndarray,
-                        saved_output: np.ndarray, kind: str) -> np.ndarray:
+def activation_backward(grad_out: np.ndarray, saved_output: np.ndarray,
+                        kind: str) -> np.ndarray:
+    """The gradient from the forward's output alone: a ReLU output is > 0
+    exactly where its input was."""
     grad_out = as_f64(grad_out)
     if kind == "relu":
-        return grad_out * (saved_input > 0.0)
+        return grad_out * (saved_output > 0.0)
     if kind == "sigmoid":
         return grad_out * saved_output * (1.0 - saved_output)
     if kind == "softmax_lastdim":

@@ -16,7 +16,7 @@ import numpy as np
 from . import data as datamod
 from .audio_net import AudioNetConfig, audio_forward
 from .errors import ConfigError, TrainingError
-from .fusion import LOSSES, concat_outputs
+from .fusion import LOSSES
 from .layers import Net
 from .video_net import VideoNetConfig, video_forward
 
@@ -40,10 +40,18 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for name in ("learning_rate", "reg_lambda", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.reg_lambda < 0:
             raise ConfigError("reg_lambda must be >= 0")
+        if self.eps <= 0:
+            raise ConfigError("eps must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.regularization not in ("none", "L1", "L2"):
             raise ConfigError(f"unknown regularization {self.regularization!r}")
 
@@ -156,21 +164,29 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
     )
 
 
-def _confusion_report(pairs) -> MetricsReport:
-    """Metrics over (predicted, true) class pairs; class 1 is positive."""
-    tp = fp = fn = tn = 0
-    for pred, truth in pairs:
-        if truth == 1:
-            tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if pred == 1 else (fp, tn + 1)
-    return metrics_from_counts(tp, fp, fn, tn)
+# Input values per eval batch.  An eval forward keeps its layer caches: 265
+# bytes per input byte for the paper-scale video net, 1.3 GB a clip.  At that
+# ratio a batch holds about 17 MB; a paper-scale clip (602,112 values) or MFCC
+# matrix (10,114) runs alone, tiny clips (1,024) in batches of 8.
+_EVAL_BATCH_VALUES = 1 << 13
+
+
+def eval_outputs(forward_fn, xs) -> np.ndarray:
+    """``forward_fn`` (an N x ... batch -> N x 2, eval mode) over the inputs
+    ``xs``, in batches of at most ``_EVAL_BATCH_VALUES`` input values (one
+    sample at least); the N x 2 outputs in order."""
+    size = max(1, _EVAL_BATCH_VALUES // np.size(xs[0])) if len(xs) else 1
+    outs = [forward_fn(np.stack(xs[i:i + size])) for i in range(0, len(xs), size)]
+    return np.concatenate(outs) if outs else np.empty((0, 2))
 
 
 def evaluate(forward_fn, dataset) -> MetricsReport:
-    """Argmax predictions over (x, onehot-y) pairs, one sample per call."""
-    return _confusion_report((int(np.argmax(forward_fn(x))), int(np.argmax(y)))
-                            for x, y in dataset)
+    """Argmax metrics over (x, onehot-y) pairs, class 1 positive; the inputs
+    run through ``forward_fn`` as in ``eval_outputs``."""
+    pred = np.argmax(eval_outputs(forward_fn, [x for x, _ in dataset]), axis=1) == 1
+    truth = np.array([np.argmax(y) for _, y in dataset]) == 1
+    return metrics_from_counts(int(np.sum(pred & truth)), int(np.sum(pred & ~truth)),
+                               int(np.sum(~pred & truth)), int(np.sum(~pred & ~truth)))
 
 
 # ----- training loop ----------------------------------------------------------
@@ -190,10 +206,9 @@ class EpochLog:
     val_recall: float | None
 
 
-def _minibatches(pairs, size: int, order=None):
+def _minibatches(pairs, size: int, order):
     """(xs, ys) stacks of ``size`` consecutive (x, y) pairs of ``pairs`` taken
-    in ``order`` (default: as stored); the last may be smaller."""
-    order = range(len(pairs)) if order is None else order
+    in ``order``; the last may be smaller."""
     for start in range(0, len(order), size):
         batch = [pairs[i] for i in order[start:start + size]]
         yield np.stack([x for x, _ in batch]), np.stack([y for _, y in batch])
@@ -206,8 +221,8 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
     ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
     probabilities and defaults to ``net.forward_batch``.  Each minibatch runs
     one train-mode forward and one ``net.backward_batch``, so the layer caches
-    hold exactly one minibatch and memory grows with ``batch_size``; the
-    validation set runs in eval-mode batches of the same size.  Output
+    hold exactly one minibatch and memory grows with ``batch_size``; each
+    epoch ends with ``evaluate`` of that forward on ``val_set``.  Output
     probabilities are clamped into (0, 1) before the strict-domain
     cross-entropy.  ``loss_kind`` is "onehot" (softmax heads) or "sigmoid"
     (two-sided, for uncoupled sigmoid outputs).
@@ -239,11 +254,7 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
             adam_step(net.params, net.grads, state, config)
             epoch_loss += loss
             n_batches += 1
-        report = _confusion_report(
-            (int(pred), int(truth))
-            for xs, ys in _minibatches(val_set, config.batch_size)
-            for pred, truth in zip(np.argmax(fwd(xs, mode="eval"), axis=1),
-                                   np.argmax(ys, axis=1)))
+        report = evaluate(fwd, val_set)
         logs.append(EpochLog(epoch, epoch_loss / n_batches,
                              report.accuracy, report.precision, report.recall))
     return logs
@@ -269,25 +280,15 @@ def video_features(rows, config: VideoNetConfig) -> list[np.ndarray]:
     return [datamod.video_input(row.video_path, config.input_shape) for row in rows]
 
 
-# Input values per ``fusion_features`` eval batch.  An eval forward keeps its
-# layer caches: 265 bytes per input byte for the paper-scale video net, 1.3 GB
-# a clip.  At that ratio a batch holds about 17 MB; a paper-scale clip and its
-# MFCCs (612,226 values) run alone, and tiny pairs (1,232) in batches of 6.
-_FEATURE_BATCH_VALUES = 1 << 13
-
-
 def fusion_features(rows, video_net: Net, audio_net: Net,
                     vfeats=None, afeats=None) -> list[np.ndarray]:
-    """Frozen unimodal outputs concatenated into the head's 4-vector inputs;
-    the nets run eval batches of at most ``_FEATURE_BATCH_VALUES`` input
-    values (one sample at least)."""
+    """Frozen unimodal outputs concatenated (video first) into the head's
+    4-vector inputs; each net runs through ``eval_outputs``."""
     vfeats = vfeats if vfeats is not None else video_features(rows, video_net.config)
     afeats = afeats if afeats is not None else audio_features(rows, audio_net.config)
-    pairs = list(zip(vfeats, afeats))
-    per_sample = np.size(pairs[0][0]) + np.size(pairs[0][1]) if pairs else 1
-    return [concat_outputs(v, a)
-            for vs, as_ in _minibatches(pairs, max(1, _FEATURE_BATCH_VALUES // per_sample))
-            for v, a in zip(video_forward(video_net, vs), audio_forward(audio_net, as_))]
+    return list(np.concatenate([
+        eval_outputs(lambda xs: video_forward(video_net, xs), vfeats),
+        eval_outputs(lambda xs: audio_forward(audio_net, xs), afeats)], axis=1))
 
 
 def paired(features, rows) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -177,10 +177,19 @@ def test_chunked_conv2d_equals_one_chunk(monkeypatch):
         close(b, a)
 
 
-@pytest.mark.parametrize("budget,sizes", [(2 * 1232, [2, 2, 1]), (100, [1] * 5)])
-def test_fusion_features_batches_stay_under_the_budget(monkeypatch, budget, sizes):
-    """A tiny (video, audio) pair has 1,024 + 208 input values; a pair over
-    the budget still runs, alone."""
+def loop_report(fwd, dataset):
+    """The confusion counts of one forward per sample; class 1 is positive."""
+    pairs = [(int(np.argmax(fwd(x))), int(np.argmax(y))) for x, y in dataset]
+    return trainer.metrics_from_counts(*(sum(pair == cell for pair in pairs)
+                                         for cell in ((1, 1), (1, 0), (0, 1), (0, 0))))
+
+
+@pytest.mark.parametrize("budget,sizes", [(2 * 1024, [2, 2, 1]), (100, [1] * 5)])
+@pytest.mark.parametrize("entry", ["fusion_features", "evaluate"])
+def test_eval_batches_stay_under_the_budget(monkeypatch, entry, budget, sizes):
+    """Every eval path batches through ``eval_outputs`` (``train_net`` validates
+    with ``evaluate``).  A tiny clip has 1,024 input values; a clip over the
+    budget still runs, alone."""
     vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=3)
     anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=4)
     rng = np.random.default_rng(24)
@@ -192,9 +201,18 @@ def test_fusion_features_batches_stay_under_the_budget(monkeypatch, budget, size
         seen.append(len(x))
         return video_forward(net, x, mode)
 
-    monkeypatch.setattr(trainer, "_FEATURE_BATCH_VALUES", budget)
-    monkeypatch.setattr(trainer, "video_forward", recording_video_forward)
-    got = trainer.fusion_features([None] * 5, vnet, anet, vfeats=vs, afeats=as_)
+    monkeypatch.setattr(trainer, "_EVAL_BATCH_VALUES", budget)
+    if entry == "fusion_features":
+        monkeypatch.setattr(trainer, "video_forward", recording_video_forward)
+        got = trainer.fusion_features([None] * 5, vnet, anet, vfeats=vs, afeats=as_)
+        close(got, [concat_outputs(video_forward(vnet, v), audio_forward(anet, a))
+                    for v, a in zip(vs, as_)])
+    else:
+        # move the head's decision boundary to the clips' mean, so both classes
+        # are predicted and the counts depend on the outputs' order
+        p = video_forward(vnet, np.stack(vs))
+        vnet.params["head/b"][1] -= np.mean(np.log(p[:, 1] / p[:, 0]))
+        dataset = [(v, trainer.onehot(i % 2)) for i, v in enumerate(vs)]
+        got = trainer.evaluate(lambda x: recording_video_forward(vnet, x), dataset)
+        assert got == loop_report(lambda x: video_forward(vnet, x), dataset)
     assert seen == sizes
-    close(got, [concat_outputs(video_forward(vnet, v), audio_forward(anet, a))
-                for v, a in zip(vs, as_)])

@@ -162,6 +162,25 @@ class TestConfigFile:
                     "--out", str(tmp_path / "o")] + extra) == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--learning-rate", "inf"], "learning_rate"),
+        ("beta1=1\n", "beta1"),
+    ], ids=["nan_flag", "inf_flag", "file_beta1_1"])
+    def test_out_of_range_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                               extra, key):
+        """Values that would train into a NaN model are refused before training."""
+        if isinstance(extra, str):
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(extra)
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run(["train", "--model", "video", "--tiny", "--epochs", "1",
+                    "--data", str(workspace / "data" / "manifest.csv"),
+                    "--out", str(out)] + extra) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnostics:
     def test_param_count(self, capsys):
@@ -206,6 +225,14 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(workspace / "audio"),
                     "--data", str(manifest)]) == 2
         assert "label" in capsys.readouterr().err
+
+    def test_eval_non_finite_parameter(self, workspace, tmp_path, capsys):
+        net = model_io.load_net(workspace / "audio")
+        net.params["dense2/b"][0] = np.nan
+        model_io.save_net(tmp_path / "audio", net)
+        assert run(["eval", "--model-dir", str(tmp_path / "audio"),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert "dense2__b.ntc" in capsys.readouterr().err
 
     def test_eval_fusion_subdirectory(self, workspace, capsys):
         assert run(["eval", "--model-dir", str(workspace / "bundle" / "fusion"),

@@ -89,7 +89,7 @@ class TestConv2Plus1D:
         c, t, h, w = shape
         layer = Conv2Plus1D(c, 5, spatial_stride=ss, temporal_stride=ts)
         layer.init_params(np.random.default_rng(0))
-        out = layer.forward(np.random.default_rng(1).random(shape))
+        out = layer.forward(np.random.default_rng(1).random(shape)[None])[0]
         assert out.shape == (5,) + full_conv_output_shape(t, h, w, ts, ss)
 
     def test_delta_kernels_give_identity_on_nonnegative_input(self):
@@ -101,12 +101,12 @@ class TestConv2Plus1D:
         layer.params["ws"][...] = ws
         layer.params["wt"][...] = wt
         x = np.random.default_rng(2).random((1, 4, 6, 6))
-        assert np.allclose(layer.forward(x), x, atol=1e-12)
+        assert np.allclose(layer.forward(x[None])[0], x, atol=1e-12)
 
     def test_channel_mismatch(self):
         layer = Conv2Plus1D(2, 3)
         with pytest.raises(DimensionError):
-            layer.forward(np.zeros((3, 2, 4, 4)))
+            layer.forward(np.zeros((1, 3, 2, 4, 4)))
 
 
 class TestResidualBlock:
@@ -127,12 +127,12 @@ class TestResidualBlock:
                   "c2.ws", "c2.bs", "c2.wt", "c2.bt"):
             block.params[k][...] = 0.0
         x = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
-        assert np.array_equal(block.forward(x), np.maximum(x, 0.0))
+        assert np.array_equal(block.forward(x[None])[0], np.maximum(x, 0.0))
 
     def test_strided_block_output_shape(self):
         block = Residual2Plus1DBlock(2, 6, spatial_stride=2, temporal_stride=2)
         block.init_params(np.random.default_rng(0))
-        out = block.forward(np.random.default_rng(1).random((2, 4, 9, 9)))
+        out = block.forward(np.random.default_rng(1).random((1, 2, 4, 9, 9)))[0]
         assert out.shape == (6, 2, 5, 5)
 
 

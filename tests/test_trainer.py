@@ -208,7 +208,7 @@ class TestMetrics:
     def test_evaluate_counts(self):
         dataset = [(np.array([1.0]), onehot(1)), (np.array([0.0]), onehot(1)),
                    (np.array([1.0]), onehot(0)), (np.array([0.0]), onehot(0))]
-        fwd = lambda x: np.array([1.0 - x[0], x[0]])  # predicts x itself
+        fwd = lambda xs: np.concatenate([1.0 - xs, xs], axis=1)  # predicts x itself
         r = evaluate(fwd, dataset)
         assert (r.tp, r.fn, r.fp, r.tn) == (1, 1, 1, 1)
         assert r.accuracy == 0.5
@@ -233,7 +233,7 @@ class TestTrainLoop:
         net = fusion.build_fusion_head(rng_seed=0)
         logs = train_net(net, train, [], TrainConfig(epochs=60, rng_seed=0))
         assert logs[-1].train_loss < logs[0].train_loss
-        assert evaluate(net.forward, train).accuracy == 1.0
+        assert evaluate(net.forward_batch, train).accuracy == 1.0
 
     def test_same_seed_bitwise_identical(self):
         train = random_fusion_set(16, np.random.default_rng(1))
