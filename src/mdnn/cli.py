@@ -32,7 +32,7 @@ TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 def _read_config_file(path) -> dict:
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(datamod.read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

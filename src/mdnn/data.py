@@ -12,6 +12,7 @@ generators produce deterministic stand-in datasets with known structure.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import dsp
 from .dsp import SAMPLE_RATE, AudioClip
-from .errors import DimensionError, DomainError, FormatError, InputError
+from .errors import ConfigError, DimensionError, DomainError, FormatError, InputError
 
 MAGIC = b"MDNN"
 VERSION = 1
@@ -142,22 +143,30 @@ def write_manifest(path, rows: list[ManifestRow]):
             writer.writerow([r.video_path, r.audio_path, r.label])
 
 
+def read_text(path) -> str:
+    """The contents of the UTF-8 text file ``path``, newlines untranslated;
+    FormatError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def read_manifest(path) -> list[ManifestRow]:
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["video", "audio", "label"]:
-            raise FormatError(f"{path}: manifest header must be video,audio,label")
-        for rec in reader:
-            if not rec["video"] or not rec["audio"]:
-                raise FormatError(f"{path}: empty path in manifest")
-            try:
-                label = int(rec["label"])
-            except (TypeError, ValueError):  # missing or non-numeric
-                label = None
-            if label not in (0, 1):
-                raise FormatError(f"{path}: label must be 0 or 1, got {rec['label']!r}")
-            rows.append(ManifestRow(rec["video"], rec["audio"], label))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames != ["video", "audio", "label"]:
+        raise FormatError(f"{path}: manifest header must be video,audio,label")
+    for rec in reader:
+        if not rec["video"] or not rec["audio"]:
+            raise FormatError(f"{path}: empty path in manifest")
+        try:
+            label = int(rec["label"])
+        except (TypeError, ValueError):  # missing or non-numeric
+            label = None
+        if label not in (0, 1):
+            raise FormatError(f"{path}: label must be 0 or 1, got {rec['label']!r}")
+        rows.append(ManifestRow(rec["video"], rec["audio"], label))
     if not rows:
         raise FormatError(f"{path}: empty manifest")
     return rows
@@ -213,9 +222,9 @@ def synth_dataset(n_per_class: int, kind: str, seed: int, out_dir) -> Path:
     better than chance on the corrupted modality, by construction.
     """
     if kind not in ("separable", "complementary"):
-        raise ValueError(f"unknown synth kind {kind!r}")
+        raise ConfigError(f"unknown synth kind {kind!r}")
     if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
+        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -4,6 +4,8 @@ The video and audio output vectors are concatenated (video first) into a
 4-vector that feeds a small two-layer head with a softmax output.  The
 unimodal networks are trained separately and stay frozen while the head is
 trained; binary cross-entropy is the loss for every network in the project.
+Each loss in ``LOSSES`` trains through one output activation, and for both
+pairs the gradient at that activation's input (the logits) is (p - y)/N.
 """
 
 from __future__ import annotations
@@ -74,13 +76,6 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-(y * np.log(p)).sum() / p.shape[0])
 
 
-def bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """dL/dp for bce_loss: -(1/N) * y / p, same shape as p."""
-    p2, y2 = _checked_batch(p, y)
-    grad = -(y2 / p2) / p2.shape[0]
-    return grad.reshape(np.asarray(p).shape)
-
-
 def sigmoid_bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     """Two-sided binary cross-entropy for independent sigmoid outputs.
 
@@ -94,18 +89,11 @@ def sigmoid_bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / p.shape[0])
 
 
-def sigmoid_bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """dL/dp for sigmoid_bce_loss: (1/N) * (-y / p + (1 - y) / (1 - p))."""
-    p2, y2 = _checked_batch(p, y)
-    grad = (-(y2 / p2) + (1.0 - y2) / (1.0 - p2)) / p2.shape[0]
-    return grad.reshape(np.asarray(p).shape)
-
-
-# loss kind -> (loss, dL/dp): "onehot" for softmax heads, "sigmoid" for
-# uncoupled sigmoid outputs
+# loss kind -> (loss, the final activation it trains through): "onehot" for
+# softmax heads, "sigmoid" for uncoupled sigmoid outputs
 LOSSES = {
-    "onehot": (bce_loss, bce_backward),
-    "sigmoid": (sigmoid_bce_loss, sigmoid_bce_backward),
+    "onehot": (bce_loss, "softmax_lastdim"),
+    "sigmoid": (sigmoid_bce_loss, "sigmoid"),
 }
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio_net import AudioNetConfig, build_audio_net
-from .data import read_container, write_container
-from .errors import ConfigError, FormatError
+from .data import read_container, read_text, write_container
+from .errors import ConfigError, FormatError, ParameterError
 from .fusion import CONCAT_ORDER, build_fusion_head
 from .layers import Net
 from .video_net import VideoNetConfig, build_video_net
@@ -32,7 +32,7 @@ def _kv_write(path, mapping: dict):
 
 def _kv_read(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -93,7 +93,7 @@ def _build_from_mapping(m: dict, where) -> Net:
         kwargs[f.name] = parse_field(f, m[f.name], where)
     try:
         return build(cls(**kwargs), rng_seed=0)
-    except ConfigError as e:
+    except (ConfigError, ParameterError) as e:
         raise FormatError(f"{where}: {e}") from None
 
 
@@ -118,7 +118,7 @@ def save_net(directory, net: Net):
 def load_net(directory) -> Net:
     directory = Path(directory)
     net = _build_from_mapping(_kv_read(directory / "model.txt"), directory / "model.txt")
-    names = (directory / "params.txt").read_text().split()
+    names = read_text(directory / "params.txt").split()
     if names != list(net.params):
         raise FormatError(f"{directory}: parameter list does not match architecture")
     for name in names:

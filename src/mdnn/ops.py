@@ -248,7 +248,8 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):  # exp overflows to inf below -709: exactly 0.0
+            return 1.0 / (1.0 + np.exp(-x))
     if kind == "softmax_lastdim":
         if x.shape[-1] < 1:
             raise DimensionError("softmax needs a nonempty last dimension")

@@ -17,10 +17,10 @@ from . import data as datamod
 from .audio_net import AudioNetConfig, audio_forward
 from .errors import ConfigError, TrainingError
 from .fusion import LOSSES
-from .layers import Net
+from .layers import Activation, Net
 from .video_net import VideoNetConfig, video_forward
 
-PROB_CLAMP = 1e-12  # explicit clamp applied before the strict-domain BCE
+PROB_CLAMP = 1e-12  # clamp on p for the reported strict-domain BCE only
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,25 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
 
     ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
     probabilities and defaults to ``net.forward_batch``.  Each minibatch runs
-    one train-mode forward and one ``net.backward_batch``, so the layer caches
-    hold exactly one minibatch and memory grows with ``batch_size``; each
-    epoch ends with ``evaluate`` of that forward on ``val_set``.  Output
-    probabilities are clamped into (0, 1) before the strict-domain
-    cross-entropy.  ``loss_kind`` is "onehot" (softmax heads) or "sigmoid"
-    (two-sided, for uncoupled sigmoid outputs).
+    one train-mode forward and one backward through the layers, so the layer
+    caches hold exactly one minibatch and memory grows with ``batch_size``;
+    each epoch ends with ``evaluate`` of that forward on ``val_set``.
+    ``loss_kind`` is "onehot" (BCE over a softmax head) or "sigmoid"
+    (two-sided BCE over uncoupled sigmoid outputs), and ``net`` must end in
+    that activation (else ConfigError).  For both pairs dL/d(logits) is
+    (p - y)/N, so the backward starts below the final activation, from the
+    unclamped output, and a saturated output still learns; ``PROB_CLAMP``
+    applies only to the reported loss.
     """
     if not train_set:
         raise ConfigError("empty training set")
     if loss_kind not in LOSSES:
         raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    loss_fn, grad_fn = LOSSES[loss_kind]
+    loss_fn, head_kind = LOSSES[loss_kind]
+    *below_head, (head_name, head) = net.layers
+    if not (isinstance(head, Activation) and head.kind == head_kind):
+        raise ConfigError(f"loss_kind {loss_kind!r} trains through a final {head_kind!r} "
+                          f"activation, but the net ends in layer {head_name!r}")
     fwd = forward_fn or net.forward_batch
     net.reseed_dropout(config.rng_seed + 1)
     shuffle_rng = np.random.default_rng(config.rng_seed + 2)
@@ -243,12 +250,14 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
         n_batches = 0
         for xs, ys in _minibatches(train_set, config.batch_size, order):
             net.zero_grad()
-            p = np.clip(fwd(xs, mode="train"), PROB_CLAMP, 1.0 - PROB_CLAMP)
-            net.backward_batch(grad_fn(p, ys))
+            p = fwd(xs, mode="train")
+            grad = (p - ys) / len(ys)
+            for _, layer in reversed(below_head):
+                grad = layer.backward(grad)
             penalty, contrib = reg_penalty(net, config.regularization, config.reg_lambda)
             for name, g in contrib.items():
                 net.grads[name] += g
-            loss = loss_fn(p, ys) + penalty
+            loss = loss_fn(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP), ys) + penalty
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {n_batches}")
             adam_step(net.params, net.grads, state, config)

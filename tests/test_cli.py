@@ -53,6 +53,12 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_synth_zero_samples_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["synth", "--kind", "separable", "--n", "0", "--out", str(out)]) == 1
+        assert "n_per_class" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtractInspect:
     def test_roundtrip(self, workspace, tmp_path, capsys):
@@ -210,7 +216,10 @@ class TestTypedParseErrors:
         ("audio", lambda t: t.replace("kernel=3x3", "kernel=3xx3")),
         ("audio", lambda t: t.replace("kernel=3x3", "kernel=3")),
         ("video", lambda t: t.replace("input_shape=1x4x16x16", "input_shape=1x4x16")),
-    ], ids=["missing_key", "non_numeric", "bad_tuple", "short_kernel", "short_input_shape"])
+        ("audio", lambda t: t.replace("dropout_rate=0.5", "dropout_rate=1.5")),
+        ("video", lambda t: t.replace("stage_channels=8x16", "stage_channels=0x16")),
+    ], ids=["missing_key", "non_numeric", "bad_tuple", "short_kernel", "short_input_shape",
+            "dropout_out_of_range", "zero_channels"])
     def test_bad_model_txt(self, workspace, tmp_path, capsys, part, edit):
         model = tmp_path / part
         shutil.copytree(workspace / part, model)
@@ -218,6 +227,32 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert "model.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, target", [
+        ("train", "data/manifest.csv"),
+        ("train", "train.cfg"),
+        ("eval", "audio/model.txt"),
+        ("eval", "audio/params.txt"),
+        ("predict", "bundle/bundle.txt"),
+    ], ids=["manifest", "config_file", "model_txt", "params_txt", "bundle_txt"])
+    def test_non_utf8_text_file(self, workspace, tmp_path, capsys, command, target):
+        """A text file with a byte that is not UTF-8 is a data error naming it."""
+        for part in ("data", "audio", "bundle"):
+            shutil.copytree(workspace / part, tmp_path / part)
+        (tmp_path / "train.cfg").write_text("epochs=1\n")
+        path = tmp_path / target
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        manifest = str(tmp_path / "data" / "manifest.csv")
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        argv = {
+            "train": ["train", "--model", "audio", "--tiny", "--data", manifest,
+                      "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--model-dir", str(tmp_path / "audio"), "--data", manifest],
+            "predict": ["predict", "--model-dir", str(tmp_path / "bundle"),
+                        "--video", row.video_path, "--audio", row.audio_path],
+        }[command]
+        assert run(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_manifest_label_not_a_number(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -3,9 +3,30 @@
 import numpy as np
 import pytest
 
-from mdnn import fusion
+from mdnn import fusion, ops
+from mdnn.audio_net import GRADCHECK_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.errors import DomainError
 from mdnn.layers import Net
+from mdnn.trainer import TrainConfig, onehot, train_net
+
+
+# dL/dp of each loss in fusion.LOSSES: the chain-rule oracle for the (p - y)/N
+# gradient that training starts from at the logits.
+
+def bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dL/dp for fusion.bce_loss: -(1/N) * y / p."""
+    return -(y / p) / p.shape[0]
+
+
+def sigmoid_bce_backward(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dL/dp for fusion.sigmoid_bce_loss: (1/N) * (-y / p + (1 - y) / (1 - p))."""
+    return (-(y / p) + (1.0 - y) / (1.0 - p)) / p.shape[0]
+
+
+def random_onehot(rng, n: int) -> np.ndarray:
+    y = np.zeros((n, 2))
+    y[np.arange(n), rng.integers(0, 2, n)] = 1.0
+    return y
 
 
 class TestConcat:
@@ -78,30 +99,78 @@ class TestBceLoss:
 
 
 class TestBceBackward:
+    """The dL/dp oracles above, checked against their losses."""
+
     def test_hand_gradient(self):
-        g = fusion.bce_backward(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
+        g = bce_backward(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
         assert np.allclose(g, [[-2.0, 0.0]])
 
     def test_zero_label_zero_gradient(self):
-        g = fusion.bce_backward(np.array([[0.2, 0.4]]), np.array([[0.0, 1.0]]))
+        g = bce_backward(np.array([[0.2, 0.4]]), np.array([[0.0, 1.0]]))
         assert g[0, 0] == 0.0
 
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
-        p = rng.uniform(0.1, 0.9, (3, 2))
-        labels = rng.integers(0, 2, 3)
-        y = np.zeros((3, 2))
-        y[np.arange(3), labels] = 1.0
-        analytic = fusion.bce_backward(p, y)
         h = 1e-7
-        for i in range(3):
-            for j in range(2):
+        for loss, oracle in ((fusion.bce_loss, bce_backward),
+                             (fusion.sigmoid_bce_loss, sigmoid_bce_backward)):
+            p = rng.uniform(0.1, 0.9, (3, 2))
+            y = random_onehot(rng, 3)
+            analytic = oracle(p, y)
+            for idx in np.ndindex(p.shape):
                 pp, pm = p.copy(), p.copy()
-                pp[i, j] += h
-                pm[i, j] -= h
-                num = (fusion.bce_loss(pp, y) - fusion.bce_loss(pm, y)) / (2 * h)
-                denom = max(abs(num), abs(analytic[i, j]), 1e-8)
-                assert abs(analytic[i, j] - num) / denom < 1e-6
+                pp[idx] += h
+                pm[idx] -= h
+                num = (loss(pp, y) - loss(pm, y)) / (2 * h)
+                denom = max(abs(num), abs(analytic[idx]), 1e-8)
+                assert abs(analytic[idx] - num) / denom < 1e-6, loss.__name__
+
+
+class TestLogitGradient:
+    """Training's output gradient (p - y)/N is the chain-rule product of each
+    loss's dL/dp and the Jacobian of the activation LOSSES pairs it with."""
+
+    @pytest.mark.parametrize("kind, oracle", [("onehot", bce_backward),
+                                              ("sigmoid", sigmoid_bce_backward)])
+    def test_equals_chain_rule(self, kind, oracle):
+        _, activation = fusion.LOSSES[kind]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            p = ops.activation(rng.normal(0.0, 3.0, (n, 2)), activation)
+            p = np.clip(p, 1e-6, 1 - 1e-6)  # away from the clamp
+            y = random_onehot(rng, n)
+            chain = ops.activation_backward(oracle(p, y), p, activation)
+            assert np.abs(chain - (p - y) / n).max() < 1e-12
+
+    @pytest.mark.parametrize("kind, oracle", [("onehot", bce_backward),
+                                              ("sigmoid", sigmoid_bce_backward)])
+    def test_train_net_gradients_equal_chain_rule(self, kind, oracle):
+        """One minibatch of ``train_net`` leaves the parameter gradients of
+        the oracle's dL/dp run back through every layer, the head included."""
+        rng = np.random.default_rng(4)
+        if kind == "onehot":
+            build = lambda: fusion.build_fusion_head(rng_seed=0)
+            xs = rng.uniform(0.0, 1.0, (6, 4))
+            forward = lambda net: net.forward_batch
+        else:
+            build = lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=0)
+            xs = rng.standard_normal((6,) + GRADCHECK_AUDIO_CONFIG.input_shape)
+            forward = lambda net: (lambda x, mode: audio_forward(net, x, mode))
+        train = [(x, onehot(i % 2)) for i, x in enumerate(xs)]
+        cfg = TrainConfig(epochs=1, batch_size=len(train), rng_seed=0)
+        trained = build()
+        train_net(trained, train, [], cfg, forward_fn=forward(trained), loss_kind=kind)
+
+        # the same minibatch: train_net's dropout seed and shuffle order
+        net = build()
+        net.reseed_dropout(cfg.rng_seed + 1)
+        order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
+        p = forward(net)(xs[order], mode="train")
+        net.zero_grad()
+        net.backward_batch(oracle(p, np.stack([train[i][1] for i in order])))
+        for name, g in net.grads.items():
+            assert np.abs(trained.grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name
 
 
 class TestFusedForward:

@@ -1,5 +1,7 @@
 """Kernel tests: hand cases, independent oracles, finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,12 @@ class TestActivations:
         assert ops.activation(np.zeros(1), "sigmoid")[0] == pytest.approx(0.5)
         s = ops.activation(x, "sigmoid") + ops.activation(-x, "sigmoid")
         assert np.allclose(s, 1.0, atol=1e-14)
+
+    def test_sigmoid_underflows_to_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ops.activation(np.array([-800.0, 800.0]), "sigmoid")
+        assert np.array_equal(y, [0.0, 1.0])
 
     def test_softmax_normalizes(self):
         rng = np.random.default_rng(7)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdnn import data as dm
 from mdnn import fusion, trainer
-from mdnn.audio_net import TINY_AUDIO_CONFIG, build_audio_net
+from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.errors import ConfigError, TrainingError
 from mdnn.layers import Dense, Net
 from mdnn.trainer import (EpochLog, SplitSpec, TrainConfig, adam_step,
@@ -254,6 +255,32 @@ class TestTrainLoop:
     def test_empty_train_set_rejected(self):
         with pytest.raises(ConfigError):
             train_net(fusion.build_fusion_head(0), [], [], TrainConfig())
+
+    @pytest.mark.parametrize("build, loss_kind", [
+        (lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=0), "sigmoid"),
+        (lambda: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0), "onehot"),
+    ], ids=["softmax_net_sigmoid_loss", "sigmoid_net_onehot_loss"])
+    def test_loss_kind_must_match_final_activation(self, build, loss_kind):
+        net = build()
+        x = np.zeros(net.config.input_shape)
+        with pytest.raises(ConfigError, match="final"):
+            train_net(net, [(x, onehot(0)), (x, onehot(1))], [], TrainConfig(epochs=1),
+                      loss_kind=loss_kind)
+
+    def test_saturated_sigmoid_still_learns(self, tmp_path):
+        """An output driven far past saturation (sigmoid(-800) is exactly 0)
+        still gets the (p - y)/N gradient, so every tensor moves and the loss
+        falls; through the sigmoid's Jacobian it would be exactly 0."""
+        rows = dm.read_manifest(dm.synth_dataset(4, "separable", 0, tmp_path))
+        train = trainer.paired(trainer.audio_features(rows, TINY_AUDIO_CONFIG), rows)
+        net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
+        net.set_param("dense2/b", np.array([50.0, -800.0]))
+        before = {k: v.copy() for k, v in net.params.items()}
+        logs = train_net(net, train, [], TrainConfig(epochs=5, rng_seed=0),
+                         forward_fn=lambda xs, mode: audio_forward(net, xs, mode),
+                         loss_kind="sigmoid")
+        assert [k for k, v in net.params.items() if np.array_equal(v, before[k])] == []
+        assert logs[-1].train_loss < logs[0].train_loss
 
     def test_epoch_log_csv(self, tmp_path):
         logs = [EpochLog(1, 0.5, 0.75, None, 1.0), EpochLog(2, 0.25, None, None, None)]
