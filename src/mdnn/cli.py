@@ -1,6 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
+An input too large to fit in memory (a ``MemoryError``) is a data error, exit 2.
 Diagnostics go to stderr, results to stdout.  Every run prints its fully
 resolved configuration so invocations are reproducible from the log alone.
 """
@@ -289,6 +290,9 @@ def run(argv=None) -> int:
         return 0 if e.code == 0 else 1
     except (FormatError, InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except (TrainingError, GradientCheckError, DomainError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

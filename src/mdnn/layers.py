@@ -183,9 +183,10 @@ class Conv2Plus1D(Layer):
     then a 1-D temporal convolution of every pixel (mid -> out channels).
     mid == out, so a 3x3x3 pair with equal channels c stores 9c^2 + 3c^2 =
     12c^2 weights versus 27c^2 for the unfactorized kernel.  Both factors use
-    "same" padding.  The spatial factor lowers the N*T frames of the batch,
-    and the temporal factor its N samples, into one im2col and one GEMM
-    each (in chunks at full scale; see ``ops._COLS_BYTES``).
+    "same" padding.  Each factor is one ``ops.conv2d`` over the whole batch:
+    the spatial factor over its N*T frames, the temporal factor over its N
+    samples, each a T x (H*W) image whose lowered matrix is the padded image
+    itself (kernel width 1).
     """
 
     def __init__(self, in_channels: int, out_channels: int,

@@ -4,17 +4,18 @@ All functions are pure: they never mutate their inputs and are bitwise
 deterministic given identical inputs (and seeds, where randomness is involved).
 Tensors are plain ``numpy.ndarray`` objects in float64, row-major.
 
-Convolution is cross-correlation (no kernel flip).  The im2col-lowered path is
-the production path; ``conv2d_direct`` is a nested-loop reference kept in the
-package permanently so the two routes can always be compared.  A convolution
-input is ``C x H x W`` behind any number of leading batch axes: every image of
-the batch is lowered into the columns of one patch matrix, so one GEMM serves
+Convolution is cross-correlation (no kernel flip).  The production path
+lowers only the kernel-width axis (MEC: Cho & Brand, ICML 2017): a matrix of
+C*kw rows, 3x the input for a 3x3 kernel and the padded input itself when
+kw = 1, and kh GEMMs over its shifted row windows; the backward uses the same
+matrix.  ``conv2d_direct`` is a nested-loop reference kept in the package
+permanently so the two routes can always be compared.  A convolution input is
+``C x H x W`` behind any number of leading batch axes, and each GEMM runs over
 the whole batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,6 @@ import numpy as np
 from .errors import DimensionError, GradientCheckError, ParameterError
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "softmax_lastdim")
-
-# Largest patch matrix one im2col builds from several images, in bytes: about
-# that of one full-scale frame (64 channels, 3x3 kernel, 112x112 output:
-# 58 MB).  A batch whose patch matrix would be larger is lowered in chunks of
-# its images; an image is never split.
-_COLS_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -87,61 +82,8 @@ def _check_conv_shapes(x, w, b, spec: ConvSpec):
         raise DimensionError(f"input has {x.shape[-3]} channels, spec expects {spec.in_channels}")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            ph: tuple[int, int], pw: tuple[int, int]) -> np.ndarray:
-    """Unfold the padded patches of x[*B, C, H, W] into a (C*kh*kw, |B|*out_h*out_w)
-    matrix; its columns run over the batch images, then output rows and columns."""
-    if ph != (0, 0) or pw != (0, 0):  # zero border (np.pad costs more on small images)
-        h, w = x.shape[-2:]
-        xp = np.zeros(x.shape[:-2] + (h + sum(ph), w + sum(pw)))
-        xp[..., ph[0]:ph[0] + h, pw[0]:pw[0] + w] = x
-        x = xp
-    *batch, c, hp, wp = x.shape
-    *sb, sc, s1, s2 = x.strides
-    out_h = (hp - kh) // sh + 1
-    out_w = (wp - kw) // sw + 1
-    patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kh, kw, *batch, out_h, out_w),
-        strides=(sc, s1, s2, *sb, s1 * sh, s2 * sw),
-        writeable=False,
-    )
-    return patches.reshape(c * kh * kw, -1)
-
-
-def _col2im_add(cols: np.ndarray, xp: np.ndarray, kh, kw, sh, sw, out_hw):
-    """Adjoint of _im2col: scatter-add columns into the padded image
-    xp[C, *B, Hp, Wp] (channel axis first)."""
-    out_h, out_w = out_hw
-    patches = cols.reshape(xp.shape[0], kh, kw, *xp.shape[1:-2], out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            xp[..., i:i + out_h * sh:sh, j:j + out_w * sw:sw] += patches[:, i, j]
-
-
-def _batch_chunks(batch: tuple, image_bytes: int):
-    """Index tuples over the ``batch`` axes, in order, each selecting a run of
-    images whose patch matrices fit in _COLS_BYTES together (one image at
-    least): whole rows of the first axis, or else a run within one row."""
-    if not batch:
-        yield ()
-        return
-    inner = math.prod(batch[1:])
-    rows = _COLS_BYTES // max(image_bytes * inner, 1)
-    if rows == 0 and len(batch) > 1:
-        for a in range(batch[0]):
-            for rest in _batch_chunks(batch[1:], image_bytes):
-                yield (a,) + rest
-        return
-    step = max(rows, 1)
-    for a in range(0, batch[0], step):
-        yield (slice(a, a + step),)
-
-
-def _lowered(x: np.ndarray, spec: ConvSpec, stride_hw):
-    """Geometry of the convolution of x[*B, C, H, W] as (sh, sw, ph, pw, out_hw),
-    and an iterator over the chunks of its batch as (index, column slice,
-    patch matrix); the column slices tile the columns of the whole batch."""
+def _geometry(x: np.ndarray, spec: ConvSpec, stride_hw):
+    """(sh, sw, ph, pw, out_hw) of the convolution of x[*B, C, H, W]."""
     sh, sw = stride_hw if stride_hw is not None else (spec.stride, spec.stride)
     h, w = x.shape[-2:]
     ph = _pad_amounts(h, spec.kernel_h, sh, spec.padding)
@@ -152,43 +94,78 @@ def _lowered(x: np.ndarray, spec: ConvSpec, stride_hw):
             f"{(h + sum(ph), w + sum(pw))}"
         )
     out_hw = ((h + sum(ph) - spec.kernel_h) // sh + 1, (w + sum(pw) - spec.kernel_w) // sw + 1)
-    image_cols = out_hw[0] * out_hw[1]
-    image_bytes = 8 * spec.in_channels * spec.kernel_h * spec.kernel_w * image_cols
+    return sh, sw, ph, pw, out_hw
 
-    def chunks():
-        start = 0
-        for idx in _batch_chunks(x.shape[:-3], image_bytes):
-            sub = x[idx]
-            stop = start + math.prod(sub.shape[:-3]) * image_cols
-            yield idx, slice(start, stop), _im2col(sub, spec.kernel_h, spec.kernel_w,
-                                                   sh, sw, ph, pw)
-            start = stop
 
-    return (sh, sw, ph, pw, out_hw), chunks()
+def _taps(size: int, k: int, stride: int, pad0: int, out: int):
+    """(t, output slice, input slice) for each kernel offset t < k: output
+    index o reads input index o*stride + t - pad0 wherever that is inside."""
+    for t in range(k):
+        lo = max(-((t - pad0) // stride), 0)
+        hi = min((size - 1 + pad0 - t) // stride + 1, out)
+        if lo < hi:
+            start = lo * stride + t - pad0
+            yield t, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _lowered(x: np.ndarray, spec: ConvSpec, geometry):
+    """The lowered matrix L of x[*B, C, H, W], and the (L index, x index) pairs
+    of its blocks that hold image pixels (the rest of L is zero padding).
+
+    L[*B, C, kw, sh, Q, W'] holds the padded image's pixel (q*sh + r, j*sw + v)
+    at [..., v, r, q, j]: only the kernel-width axis is lowered, and the rows
+    u, u + sh, ... that kernel row u reads are rows u//sh onwards of phase
+    u % sh, so every GEMM operand is a view of L.
+    """
+    sh, sw, ph, pw, (out_h, out_w) = geometry
+    *batch, c, h, w = x.shape
+    rows = out_h + (spec.kernel_h - 1) // sh
+    pairs = [((..., v, r, lq, lj), (..., xi, xj))
+             for v, lj, xj in _taps(w, spec.kernel_w, sw, pw[0], out_w)
+             for r, lq, xi in _taps(h, sh, sh, ph[0], rows)]
+    low = np.zeros((*batch, c, spec.kernel_w, sh, rows, out_w))
+    for li, xi in pairs:
+        low[li] = x[xi]
+    return low, pairs
+
+
+def _rows(u: int, sh: int, out_h: int) -> tuple:
+    """Index of the rows of L that kernel row u reads, as [*B, C, kw, H', W']."""
+    return ..., u % sh, slice(u // sh, u // sh + out_h), slice(None)
+
+
+def _operand(low: np.ndarray, u: int, sh: int, out_h: int) -> np.ndarray:
+    """The [*B, C*kw, H'*W'] view of L that kernel row u multiplies."""
+    rows = low[_rows(u, sh, out_h)]
+    return rows.reshape(*rows.shape[:-4], -1, rows.shape[-2] * rows.shape[-1])
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
            spec: ConvSpec, stride_hw: tuple[int, int] | None = None) -> np.ndarray:
     """Cross-correlate x[*B, C, H, W] with weights[C',C,kh,kw] -> [*B, C', H', W'].
 
-    im2col fast path, one GEMM per chunk of the batch (see _COLS_BYTES); the
-    result is a view of channel-major memory (C' x B x H' x W').
-    ``stride_hw`` optionally overrides the spec stride per axis (used by the
-    temporal factor of (2+1)D convolutions, which strides one axis only).
+    One lowered matrix L (see ``_lowered``) and kh GEMMs over its shifted row
+    windows, summed: out = sum_u weights[:, :, u] @ L[rows of u].  The result
+    is contiguous (batch-major).  ``stride_hw`` optionally overrides the spec
+    stride per axis (used by the temporal factor of (2+1)D convolutions, which
+    strides one axis only).
     """
     x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
     _check_conv_shapes(x, weights, bias, spec)
-    (*_, out_hw), chunks = _lowered(x, spec, stride_hw)
-    batch = x.shape[:-3]
-    w2 = weights.reshape(spec.out_channels, -1)
-    out = np.empty((spec.out_channels, math.prod(batch) * out_hw[0] * out_hw[1]))
-    for _, cols_slice, cols in chunks:
-        np.matmul(w2, cols, out=out[:, cols_slice])
-        del cols  # before the next chunk's is built
+    geometry = _geometry(x, spec, stride_hw)
+    sh, (out_h, out_w) = geometry[0], geometry[4]
+    co = spec.out_channels
+    out = np.empty((*x.shape[:-3], co, out_h * out_w))  # before the scratch it outlives
+    low, _ = _lowered(x, spec, geometry)
+    np.matmul(weights[:, :, 0].reshape(co, -1), _operand(low, 0, sh, out_h), out=out)
+    tmp = None
+    for u in range(1, spec.kernel_h):  # one scratch product, reused
+        tmp = np.matmul(weights[:, :, u].reshape(co, -1), _operand(low, u, sh, out_h), out=tmp)
+        out += tmp
     if bias is not None:
         out += bias[:, None]
-    return np.moveaxis(out.reshape(spec.out_channels, *batch, *out_hw), 0, -3)
+    return out.reshape(*x.shape[:-3], co, out_h, out_w)
 
 
 def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
@@ -199,7 +176,7 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     _check_conv_shapes(x, weights, bias, spec)
     if x.ndim > 3:  # one image at a time
         return np.stack([conv2d_direct(xi, weights, bias, spec, stride_hw) for xi in x])
-    (sh, sw, ph, pw, (out_h, out_w)), _ = _lowered(x, spec, stride_hw)
+    sh, sw, ph, pw, (out_h, out_w) = _geometry(x, spec, stride_hw)
     xp = np.pad(x, ((0, 0), ph, pw))
     out = np.zeros((spec.out_channels, out_h, out_w))
     for co in range(spec.out_channels):
@@ -219,28 +196,41 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
     """Gradients of the cross-correlation: (grad_input, grad_weights, grad_bias).
 
     ``saved_input`` is the x[*B, C, H, W] given to ``conv2d``; the weight and
-    bias gradients are summed over the batch.
+    bias gradients are summed over the batch.  Both use the forward's lowered
+    matrix L: grad_weights[:, :, u] = grad_out @ L[rows of u].T, and the input
+    gradient is the forward's adjoint, the products weights[:, :, u].T @
+    grad_out added into the same rows of an L-shaped matrix, whose blocks are
+    then added back into the image.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x, weights = np.asarray(saved_input, dtype=np.float64), as_f64(weights)
     _check_conv_shapes(x, weights, None, spec)
-    (sh, sw, ph, pw, out_hw), chunks = _lowered(x, spec, stride_hw)
+    geometry = _geometry(x, spec, stride_hw)
+    sh, (out_h, out_w) = geometry[0], geometry[4]
     *batch, c, h, w = x.shape
-    if grad_out.shape != (*batch, spec.out_channels, *out_hw):
+    co, kh, kw = spec.out_channels, spec.kernel_h, spec.kernel_w
+    if grad_out.shape != (*batch, co, out_h, out_w):
         raise DimensionError(
-            f"grad_out shape {grad_out.shape} != {(*batch, spec.out_channels, *out_hw)}")
-    g = np.moveaxis(grad_out, -3, 0).reshape(spec.out_channels, -1)
-    grad_bias = g.sum(axis=1)
-    w2 = weights.reshape(spec.out_channels, -1)
-    grad_weights = np.zeros_like(w2)
-    xp = np.zeros((c, *batch, h + sum(ph), w + sum(pw)))
-    for idx, cols_slice, cols in chunks:
-        grad_weights += g[:, cols_slice] @ cols.T
-        del cols  # one patch-sized matrix at a time: this one, then grad_cols
-        _col2im_add(w2.T @ g[:, cols_slice], xp[(slice(None),) + idx],
-                    spec.kernel_h, spec.kernel_w, sh, sw, out_hw)
-    grad_input = np.moveaxis(xp[..., ph[0]:ph[0] + h, pw[0]:pw[0] + w], 0, -3)
-    return grad_input, grad_weights.reshape(weights.shape), grad_bias
+            f"grad_out shape {grad_out.shape} != {(*batch, co, out_h, out_w)}")
+    g = grad_out.reshape(*batch, co, out_h * out_w)
+    batch_axes = tuple(range(len(batch)))
+    grad_bias = g.sum(axis=batch_axes + (-1,))
+    grad_weights = np.empty_like(weights)
+    low, pairs = _lowered(x, spec, geometry)
+    for u in range(kh):
+        grad_weights[:, :, u] = np.matmul(g, _operand(low, u, sh, out_h).swapaxes(-1, -2)).sum(
+            axis=batch_axes).reshape(co, c, kw)
+    dlow = low  # the adjoint's matrix reuses L's memory
+    dlow.fill(0.0)
+    tmp = None
+    for u in range(kh):
+        tmp = np.matmul(weights[:, :, u].reshape(co, -1).T, g, out=tmp)
+        dlow[_rows(u, sh, out_h)] += tmp.reshape(*batch, c, kw, out_h, out_w)
+    del tmp  # grad_input can take its memory
+    grad_input = np.zeros(x.shape)
+    for li, xi in pairs:
+        grad_input[xi] += dlow[li]
+    return grad_input, grad_weights, grad_bias
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:

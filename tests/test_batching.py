@@ -15,6 +15,7 @@ from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout, Flatte
 from mdnn.ops import ConvSpec
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG, build_video_net,
                             video_forward)
+from test_ops import GEOMETRY_CASES, geometry_case
 
 N = 5
 REL = 1e-12
@@ -148,33 +149,26 @@ def test_gradient_check_through_batched_layers(kind):
     assert report["ok"], report
 
 
-@pytest.mark.parametrize("stride_hw", [None, (2, 1)])
-def test_batched_conv2d_matches_direct_oracle(stride_hw):
+# id -> (spec, stride_hw, input shape): "None" and "stride_hw1" are a 3x3
+# "same" convolution at the spec's stride and at the temporal factor's (2, 1)
+ORACLE_CASES = {
+    "None": (ConvSpec(3, 3, 1, "same", 2, 3), None, (2, 3, 2, 5, 6)),
+    "stride_hw1": (ConvSpec(3, 3, 1, "same", 2, 3), (2, 1), (2, 3, 2, 5, 6)),
+    **{case: geometry_case(case) for case in GEOMETRY_CASES},
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_batched_conv2d_matches_direct_oracle(case):
+    spec, stride_hw, shape = ORACLE_CASES[case]
     rng = np.random.default_rng(22)
-    spec = ConvSpec(3, 3, 1, "same", 2, 3)
-    x = rng.standard_normal((2, 3, 2, 5, 6))  # two leading batch axes
-    w = rng.standard_normal((3, 2, 3, 3))
-    b = rng.standard_normal(3)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+    b = rng.standard_normal(spec.out_channels)
     got = ops.conv2d(x, w, b, spec, stride_hw=stride_hw)
-    want = np.stack([ops.conv2d_direct(xi, w, b, spec, stride_hw=stride_hw) for xi in x])
+    want = ops.conv2d_direct(x, w, b, spec, stride_hw=stride_hw)
+    assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_chunked_conv2d_equals_one_chunk(monkeypatch):
-    """A patch-matrix cap below one sample splits the batch inside a row
-    (chunks of 2, 2 and 1 images); the results agree to rounding, since the
-    BLAS may pick another kernel for a narrower GEMM."""
-    rng = np.random.default_rng(23)
-    spec = ConvSpec(3, 3, 2, "same", 2, 3)
-    x = rng.standard_normal((2, 5, 2, 7, 6))
-    w = rng.standard_normal((3, 2, 3, 3))
-    g = rng.standard_normal((2, 5, 3, 4, 3))
-    whole = ops.conv2d(x, w, None, spec), ops.conv2d_backward(g, x, w, spec)
-    # 2 channels x 9 taps x 12 outputs x 8 bytes = 1728 bytes per image
-    monkeypatch.setattr(ops, "_COLS_BYTES", 2 * 1728)
-    chunked = ops.conv2d(x, w, None, spec), ops.conv2d_backward(g, x, w, spec)
-    for a, b in zip((whole[0],) + whole[1], (chunked[0],) + chunked[1]):
-        close(b, a)
 
 
 def loop_report(fwd, dataset):

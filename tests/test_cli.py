@@ -294,6 +294,18 @@ class TestTypedParseErrors:
                     "--video", row.video_path, "--audio", str(wav)]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    def test_predict_out_of_memory(self, workspace, monkeypatch, capsys):
+        """An input that cannot be allocated (say, a model.txt input shape of
+        1x4x100000x100000) is a data error, not a traceback.  The allocation
+        is simulated: a real one could get the process killed instead."""
+        def too_large(path, shape):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+        monkeypatch.setattr(dm, "video_input", too_large)
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", row.video_path, "--audio", row.audio_path]) == 2
+        assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (8, 16, 16)],
                              ids=["two_channels", "rank_3"])
     def test_predict_video_shape_mismatch(self, workspace, tmp_path, capsys, shape):

@@ -1,9 +1,15 @@
 """Format stability: seeded parameters, model.txt text and tiny forward outputs
 are pinned to the values recorded before the residual-block namespace and the
-config codec were refactored, so a change to either cannot move them.  MFCC
-features and preprocessed video clips of seeded inputs are pinned to the values
-recorded before the MFCC front-end's geometry became fixed and the video resize
-became one call over all frames."""
+config codec were refactored, so a change to either cannot move them; the tiny
+forward outputs were re-pinned once since, from the code that lowers only the
+kernel-width axis of a convolution, whose summation order moved one audio
+output by 8 ulps.  MFCC features and preprocessed video clips of seeded inputs
+are pinned to the values recorded before the MFCC front-end's geometry became
+fixed and the video resize became one call over all frames.
+
+The MFCC pins hold when OpenBLAS runs on 2 or 4 threads (CI sets
+OPENBLAS_NUM_THREADS=2): single-threaded, the ``power @ _MEL80.T`` GEMM rounds
+differently and the 5,000-, 60,000- and 199,936-sample pins fail."""
 
 import hashlib
 
@@ -51,7 +57,7 @@ MODEL_TXT = {
 # float.hex() of each output component
 FORWARD = {
     "video": ["0x1.0bc75435d4344p-1", "0x1.e871579457978p-2"],
-    "audio": ["0x1.960eef7fa225cp-2", "0x1.c8ccd48b0968ap-1"],
+    "audio": ["0x1.960eef7fa2264p-2", "0x1.c8ccd48b0968ap-1"],
     "fused": ["0x1.0442af14dc04ap-3", "0x1.beef543ac8feep-1"],
 }
 

@@ -11,6 +11,52 @@ from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout,
                          Flatten, GlobalAvgPool, Net)
 from mdnn.ops import ConvSpec
 
+# id -> (spec, stride_hw, image H x W): geometries the lowered convolution must
+# get right, checked against conv2d_direct and by finite differences
+CONV_GEOMETRIES = {
+    "stride2_same_odd_hw": (ConvSpec(3, 3, 2, "same", 2, 3), None, (7, 5)),
+    "stride2_same_even_hw": (ConvSpec(3, 3, 2, "same", 2, 3), None, (6, 6)),
+    "kernel_2x3": (ConvSpec(2, 3, 1, "same", 2, 3), None, (5, 6)),
+    "kernel_3x1_stride_2x1": (ConvSpec(3, 1, 1, "same", 2, 3), (2, 1), (7, 4)),
+    "valid": (ConvSpec(3, 3, 1, "valid", 2, 3), None, (5, 6)),
+    "valid_stride2": (ConvSpec(3, 3, 2, "valid", 2, 3), None, (7, 6)),
+}
+# id -> leading batch axes in front of C x H x W
+LEADING_AXES = {"no_batch": (), "one_axis": (3,), "two_axes": (2, 3)}
+GEOMETRY_CASES = [f"{g}-{lead}" for g in CONV_GEOMETRIES for lead in LEADING_AXES]
+
+
+def geometry_case(case):
+    """(spec, stride_hw, input shape) of a GEOMETRY_CASES id."""
+    g, lead = case.split("-")
+    spec, stride_hw, hw = CONV_GEOMETRIES[g]
+    return spec, stride_hw, LEADING_AXES[lead] + (spec.in_channels,) + hw
+
+
+class ConvOp:
+    """ops.conv2d and conv2d_backward as a gradient_check model."""
+
+    def __init__(self, spec, stride_hw, rng):
+        self.spec, self.stride_hw = spec, stride_hw
+        shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+        self.params = {"w": rng.standard_normal(shape),
+                       "b": rng.standard_normal(spec.out_channels)}
+        self.zero_grad()
+
+    def zero_grad(self):
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    def forward(self, x, mode="eval"):
+        self._x = x
+        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec, self.stride_hw)
+
+    def backward(self, grad_out):
+        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec,
+                                         self.stride_hw)
+        self.grads["w"] += gw
+        self.grads["b"] += gb
+        return gi
+
 
 class TestConv2d:
     def test_all_ones_sum(self):
@@ -78,12 +124,11 @@ class TestConv2dBackward:
         assert gi[0, 0, 0] == pytest.approx(10.0)
         assert gb[0] == pytest.approx(5.0)
 
-    def test_finite_differences(self):
+    @pytest.mark.parametrize("case", GEOMETRY_CASES)
+    def test_finite_differences(self, case):
+        spec, stride_hw, shape = geometry_case(case)
         rng = np.random.default_rng(5)
-        net = Net([("c", Conv2D(ConvSpec(3, 3, 2, "same", 2, 3)))])
-        net.init_params(6)
-        net.jitter(7)
-        report = ops.gradient_check(net, rng.standard_normal((2, 6, 6)))
+        report = ops.gradient_check(ConvOp(spec, stride_hw, rng), rng.standard_normal(shape))
         assert report["ok"], report
 
 
