@@ -30,6 +30,15 @@ class AudioNetConfig:
         if len(self.input_shape) != 3 or len(self.kernel) != 2:
             raise ConfigError(f"input_shape needs 3 entries and kernel 2, "
                               f"got {self.input_shape} and {self.kernel}")
+        sizes = self.input_shape + self.kernel + (self.conv_filters, self.dense1_width)
+        if min(sizes) < 1:
+            raise ConfigError(f"every size must be >= 1, got input_shape={self.input_shape} "
+                              f"kernel={self.kernel} conv_filters={self.conv_filters} "
+                              f"dense1_width={self.dense1_width}")
+        if self.input_shape[2] != 1:
+            raise ConfigError(f"input_shape must have 1 channel, got {self.input_shape}")
+        if self.num_classes != 2:
+            raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
 
     def conv_output_shape(self) -> tuple[int, int, int]:
         h, w, _ = self.input_shape

@@ -6,11 +6,16 @@ summed over the batch.  Only ``Net.forward``/``Net.backward`` take one
 unbatched sample, which they run through the whole stack as the N=1 batch;
 ``Net.run`` takes either form.
 
-Parameters live on the layers as float64 arrays; a ``Composite`` (a ``Net``,
-or a residual block inside one) exposes its children's as a single ordered
-name -> array mapping (the serialization order).  Forward passes
-save whatever the matching backward pass needs; ``backward`` must be called in
-exact reverse order of ``forward``, which ``Net`` guarantees.
+Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
+in ``Layer.__init__``; after that every write to them is in place
+(``init_params``, ``zero_grad``, the backward's ``+=``, ``model_io.load_net``
+and Adam), so any reference to one of these arrays stays valid for the
+layer's life.  A ``Composite`` (a ``Net``, or a residual block inside one) is
+a layer whose ``params`` and ``grads`` are plain dicts, built once, holding
+its children's own arrays under one ordered namespace (the serialization
+order).  Forward passes save whatever the matching backward pass needs;
+``backward`` must be called in exact reverse order of ``forward``, which
+``Net`` guarantees.
 """
 
 from __future__ import annotations
@@ -28,18 +33,23 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base layer: parameter dict, gradient dict, weight/bias distinction."""
+    """Base layer: parameter dict, gradient dict, weight/bias distinction.
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.weight_names: set[str] = set()  # regularized params; biases excluded
+    ``params`` and one zero gradient per parameter are allocated here, once;
+    ``weight_names`` are the regularized params (biases excluded).
+    """
+
+    def __init__(self, params: dict[str, np.ndarray] | None = None, weight_names=()):
+        self.params = params or {}
+        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.weight_names = set(weight_names)
 
     def init_params(self, rng: np.random.Generator):
         pass
 
     def zero_grad(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        for g in self.grads.values():
+            g.fill(0.0)
 
     def full3d_weight_count(self) -> int:
         """Weights with every (2+1)D factor pair counted as its full 3-D kernel."""
@@ -56,15 +66,12 @@ class Dense(Layer):
     """Fully connected layer on N x in_dim inputs: Y = X @ W + b."""
 
     def __init__(self, in_dim: int, out_dim: int):
-        super().__init__()
+        super().__init__({"w": np.zeros((in_dim, out_dim)), "b": np.zeros(out_dim)}, {"w"})
         self.in_dim, self.out_dim = in_dim, out_dim
-        self.params = {"w": np.zeros((in_dim, out_dim)), "b": np.zeros(out_dim)}
-        self.weight_names = {"w"}
-        self.zero_grad()
 
     def init_params(self, rng):
-        self.params["w"] = he_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
-        self.params["b"] = np.zeros(self.out_dim)
+        self.params["w"][...] = he_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
+        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -82,18 +89,15 @@ class Conv2D(Layer):
     """2-D convolution over N x C x H x W."""
 
     def __init__(self, spec: ConvSpec):
-        super().__init__()
-        self.spec = spec
         wshape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        self.params = {"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)}
-        self.weight_names = {"w"}
-        self.zero_grad()
+        super().__init__({"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)}, {"w"})
+        self.spec = spec
 
     def init_params(self, rng):
         s = self.spec
         fan_in = s.in_channels * s.kernel_h * s.kernel_w
-        self.params["w"] = he_uniform(rng, self.params["w"].shape, fan_in)
-        self.params["b"] = np.zeros(s.out_channels)
+        self.params["w"][...] = he_uniform(rng, self.params["w"].shape, fan_in)
+        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         if x.ndim != 4:
@@ -192,7 +196,13 @@ class Conv2Plus1D(Layer):
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_kernel=(3, 3), temporal_kernel=3,
                  spatial_stride=1, temporal_stride=1):
-        super().__init__()
+        kh, kw = spatial_kernel
+        super().__init__({
+            "ws": np.zeros((out_channels, in_channels, kh, kw)),
+            "bs": np.zeros(out_channels),
+            "wt": np.zeros((out_channels, out_channels, temporal_kernel, 1)),
+            "bt": np.zeros(out_channels),
+        }, {"ws", "wt"})
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.mid_channels = out_channels
@@ -200,27 +210,18 @@ class Conv2Plus1D(Layer):
         self.temporal_kernel = temporal_kernel
         self.spatial_stride = spatial_stride
         self.temporal_stride = temporal_stride
-        kh, kw = self.spatial_kernel
         self.spatial_spec = ConvSpec(kh, kw, spatial_stride, "same",
                                      in_channels, self.mid_channels)
         self.temporal_spec = ConvSpec(temporal_kernel, 1, 1, "same",
                                       self.mid_channels, out_channels)
-        self.params = {
-            "ws": np.zeros((self.mid_channels, in_channels, kh, kw)),
-            "bs": np.zeros(self.mid_channels),
-            "wt": np.zeros((out_channels, self.mid_channels, temporal_kernel, 1)),
-            "bt": np.zeros(out_channels),
-        }
-        self.weight_names = {"ws", "wt"}
-        self.zero_grad()
 
     def init_params(self, rng):
         kh, kw = self.spatial_kernel
-        self.params["ws"] = he_uniform(rng, self.params["ws"].shape, self.in_channels * kh * kw)
-        self.params["bs"] = np.zeros(self.mid_channels)
-        self.params["wt"] = he_uniform(rng, self.params["wt"].shape,
-                                       self.mid_channels * self.temporal_kernel)
-        self.params["bt"] = np.zeros(self.out_channels)
+        p = self.params
+        p["ws"][...] = he_uniform(rng, p["ws"].shape, self.in_channels * kh * kw)
+        p["bs"].fill(0.0)
+        p["wt"][...] = he_uniform(rng, p["wt"].shape, self.mid_channels * self.temporal_kernel)
+        p["bt"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         if x.ndim != 5 or x.shape[1] != self.in_channels:
@@ -267,17 +268,15 @@ class Projection(Layer):
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
-        super().__init__()
+        super().__init__({"w": np.zeros((out_channels, in_channels)),
+                          "b": np.zeros(out_channels)}, {"w"})
         self.in_channels, self.out_channels = in_channels, out_channels
         self.spatial_stride, self.temporal_stride = spatial_stride, temporal_stride
-        self.params = {"w": np.zeros((out_channels, in_channels)), "b": np.zeros(out_channels)}
-        self.weight_names = {"w"}
-        self.zero_grad()
 
     def init_params(self, rng):
-        self.params["w"] = he_uniform(rng, (self.out_channels, self.in_channels),
-                                      self.in_channels)
-        self.params["b"] = np.zeros(self.out_channels)
+        self.params["w"][...] = he_uniform(rng, (self.out_channels, self.in_channels),
+                                           self.in_channels)
+        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
@@ -299,44 +298,29 @@ class Projection(Layer):
         return gx
 
 
-class Composite:
+class Composite(Layer):
     """Named child layers whose parameters form one ordered namespace.
 
-    A child's parameter ``p`` is exposed as ``<child><SEP><p>``; the children
-    own the arrays, so the namespace is a view and never needs re-syncing.
+    A child's parameter ``p`` and its gradient are entered as
+    ``<child><SEP><p>`` in ``params`` and ``grads``, built once here; the
+    entries are the child's own arrays, which are only ever written in place,
+    so the namespace never needs re-syncing.
     """
 
     SEP = "."
 
     def __init__(self, layers: list[tuple[str, Layer]]):
         self.layers = layers
-
-    def _joined(self, attr: str) -> dict[str, np.ndarray]:
-        return {f"{lname}{self.SEP}{pname}": arr
-                for lname, layer in self.layers
-                for pname, arr in getattr(layer, attr).items()}
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self._joined("params")
-
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._joined("grads")
-
-    @property
-    def weight_names(self) -> set[str]:
-        return {f"{lname}{self.SEP}{w}" for lname, layer in self.layers
-                for w in layer.weight_names}
+        self.params, self.grads, self.weight_names = {}, {}, set()
+        for lname, layer in layers:
+            for pname, arr in layer.params.items():
+                key = f"{lname}{self.SEP}{pname}"
+                self.params[key], self.grads[key] = arr, layer.grads[pname]
+            self.weight_names.update(f"{lname}{self.SEP}{w}" for w in layer.weight_names)
 
     def init_params(self, rng: np.random.Generator):
         for _, layer in self.layers:
             layer.init_params(rng)
-            layer.zero_grad()
-
-    def zero_grad(self):
-        for _, layer in self.layers:
-            layer.zero_grad()
 
     def full3d_weight_count(self) -> int:
         return sum(layer.full3d_weight_count() for _, layer in self.layers)
@@ -394,19 +378,6 @@ class Net(Composite):
     """
 
     SEP = "/"
-
-    def set_param(self, name: str, value: np.ndarray):
-        lname, pname = name.split(self.SEP, 1)
-        for ln, layer in self.layers:
-            if ln == lname:
-                if pname not in layer.params:
-                    raise KeyError(name)
-                if layer.params[pname].shape != value.shape:
-                    raise DimensionError(
-                        f"param {name}: shape {value.shape} != {layer.params[pname].shape}")
-                layer.params[pname][...] = value
-                return
-        raise KeyError(name)
 
     def init_params(self, seed: int):
         super().init_params(np.random.default_rng(seed))

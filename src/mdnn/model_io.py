@@ -123,11 +123,13 @@ def load_net(directory) -> Net:
         raise FormatError(f"{directory}: parameter list does not match architecture")
     for name in names:
         path = directory / _param_filename(name)
-        value = read_container(path)
+        value, param = read_container(path), net.params[name]
+        if value.shape != param.shape:
+            raise FormatError(f"{path}: shape {value.shape} does not match the "
+                              f"architecture's {param.shape}")
         if not np.all(np.isfinite(value)):
             raise FormatError(f"{path}: non-finite parameter values")
-        net.set_param(name, value)
-    net.zero_grad()
+        param[...] = value
     return net
 
 

@@ -78,10 +78,15 @@ def split_dataset(n_items: int, spec: SplitSpec = SplitSpec()):
 # ----- optimizer --------------------------------------------------------------
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
+    """Moments ``m`` and ``v`` per tensor, plus the two scratch buffers
+    ``adam_step`` works in, of the largest tensor's size and shared by every
+    tensor, so that a step allocates nothing."""
+    size = max((p.size for p in params.values()), default=0)
     return {
         "t": 0,
         "m": {k: np.zeros_like(v) for k, v in params.items()},
         "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "scratch": (np.empty(size), np.empty(size)),
     }
 
 
@@ -90,16 +95,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update, in place; returns (params, state).
 
     Computes p -= lr * m_hat / (sqrt(v_hat) + eps), operation by operation in
-    that order, into two scratch buffers shared by every tensor.
+    that order, in the state's scratch buffers.
     """
+    scratch_a, scratch_b = state["scratch"]
+    finite = scratch_b.view(bool)  # free until the update below
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g, out=finite[:g.size].reshape(g.shape)).all():
             raise TrainingError(f"non-finite gradient in tensor {name!r}")
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
-    size = max((p.size for p in params.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         m = state["m"][name]

@@ -32,8 +32,14 @@ class VideoNetConfig:
         if len(self.input_shape) != 4:
             raise ConfigError(f"input_shape needs 4 entries, got {self.input_shape}")
         c, t, h, w = self.input_shape
-        if min(self.input_shape) < 1 or not self.stage_channels:
-            raise ConfigError(f"invalid input shape {self.input_shape}")
+        sizes = self.input_shape + self.stage_channels + (self.blocks_per_stage,)
+        if not self.stage_channels or min(sizes) < 1:
+            raise ConfigError(f"need stage channels and every size >= 1, got "
+                              f"input_shape={self.input_shape} "
+                              f"stage_channels={self.stage_channels} "
+                              f"blocks_per_stage={self.blocks_per_stage}")
+        if self.num_classes != 2:
+            raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
         for i, _ch in enumerate(self.stage_channels):
             if i > 0:
                 t = conv_out_size(t, 3, 2, "same")

@@ -218,8 +218,18 @@ class TestTypedParseErrors:
         ("video", lambda t: t.replace("input_shape=1x4x16x16", "input_shape=1x4x16")),
         ("audio", lambda t: t.replace("dropout_rate=0.5", "dropout_rate=1.5")),
         ("video", lambda t: t.replace("stage_channels=8x16", "stage_channels=0x16")),
+        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=0")),
+        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=-3")),
+        ("audio", lambda t: t.replace("num_classes=2", "num_classes=-1")),
+        ("video", lambda t: t.replace("num_classes=2", "num_classes=-1")),
+        ("video", lambda t: t.replace("num_classes=2", "num_classes=3")),
+        ("audio", lambda t: t.replace("input_shape=16x13x1", "input_shape=16x13x2")),
+        ("audio", lambda t: t.replace("input_shape=16x13x1", "input_shape=16x13x0")),
+        ("video", lambda t: t.replace("blocks_per_stage=1", "blocks_per_stage=0")),
     ], ids=["missing_key", "non_numeric", "bad_tuple", "short_kernel", "short_input_shape",
-            "dropout_out_of_range", "zero_channels"])
+            "dropout_out_of_range", "zero_channels", "zero_width", "negative_width",
+            "audio_negative_classes", "video_negative_classes", "three_classes",
+            "two_audio_channels", "zero_audio_channels", "zero_blocks"])
     def test_bad_model_txt(self, workspace, tmp_path, capsys, part, edit):
         model = tmp_path / part
         shutil.copytree(workspace / part, model)
@@ -227,6 +237,22 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert "model.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, edit, named", [
+        ("audio", lambda d: dm.write_container(d / "dense2__b.ntc", np.zeros(3)),
+         "dense2__b.ntc"),
+        ("video", lambda d: (d / "model.txt").write_text((d / "model.txt").read_text().replace(
+            "input_shape=1x4x16x16", "input_shape=2x4x16x16")), "stem__ws.ntc"),
+    ], ids=["parameter_file", "two_video_channels"])
+    def test_parameter_shape_mismatch(self, workspace, tmp_path, capsys, part, edit, named):
+        """A parameter file whose shape does not fit the architecture that
+        model.txt describes is a format error naming the file."""
+        model = tmp_path / part
+        shutil.copytree(workspace / part, model)
+        edit(model)
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert str(model / named) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, target", [
         ("train", "data/manifest.csv"),

@@ -182,12 +182,12 @@ class TestFusedForward:
         # units 0/1: evidence for class 0 and class 1 from both modalities
         w1[0, 0] = w1[2, 0] = 1.0
         w1[1, 1] = w1[3, 1] = 1.0
-        net.set_param("dense1/w", w1)
-        net.set_param("dense1/b", np.zeros(16))
+        net.params["dense1/w"][...] = w1
+        net.params["dense1/b"][...] = np.zeros(16)
         w2 = np.zeros((16, 2))
         w2[0, 0] = w2[1, 1] = 4.0
-        net.set_param("dense2/w", w2)
-        net.set_param("dense2/b", np.zeros(2))
+        net.params["dense2/w"][...] = w2
+        net.params["dense2/b"][...] = np.zeros(2)
         return net
 
     def test_prediction_flips_on_swap(self):

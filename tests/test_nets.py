@@ -30,8 +30,8 @@ class TestAudioNet:
     def test_outputs_need_not_sum_to_one(self):
         # independent sigmoids: zeroing the last dense layer gives (0.5, 0.5)
         net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-        net.set_param("dense2/w", np.zeros((64, 2)))
-        net.set_param("dense2/b", np.zeros(2))
+        net.params["dense2/w"][...] = np.zeros((64, 2))
+        net.params["dense2/b"][...] = np.zeros(2)
         x = np.random.default_rng(1).standard_normal(TINY_AUDIO_CONFIG.input_shape)
         assert np.allclose(audio_forward(net, x), [0.5, 0.5], atol=1e-15)
 
@@ -187,8 +187,8 @@ class TestVideoNet:
 
     def test_zero_head_gives_uniform(self):
         net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
-        net.set_param("head/w", np.zeros((16, 2)))
-        net.set_param("head/b", np.zeros(2))
+        net.params["head/w"][...] = np.zeros((16, 2))
+        net.params["head/b"][...] = np.zeros(2)
         y = video_forward(net, np.random.default_rng(1).random(TINY_VIDEO_CONFIG.input_shape))
         assert np.allclose(y, [0.5, 0.5], atol=1e-15)
 

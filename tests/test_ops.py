@@ -8,7 +8,7 @@ import pytest
 from mdnn import ops
 from mdnn.errors import DimensionError, ParameterError
 from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout,
-                         Flatten, GlobalAvgPool, Net)
+                         Flatten, GlobalAvgPool, Layer, Net)
 from mdnn.ops import ConvSpec
 
 # id -> (spec, stride_hw, image H x W): geometries the lowered convolution must
@@ -33,18 +33,14 @@ def geometry_case(case):
     return spec, stride_hw, LEADING_AXES[lead] + (spec.in_channels,) + hw
 
 
-class ConvOp:
+class ConvOp(Layer):
     """ops.conv2d and conv2d_backward as a gradient_check model."""
 
     def __init__(self, spec, stride_hw, rng):
-        self.spec, self.stride_hw = spec, stride_hw
         shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        self.params = {"w": rng.standard_normal(shape),
-                       "b": rng.standard_normal(spec.out_channels)}
-        self.zero_grad()
-
-    def zero_grad(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        super().__init__({"w": rng.standard_normal(shape),
+                          "b": rng.standard_normal(spec.out_channels)})
+        self.spec, self.stride_hw = spec, stride_hw
 
     def forward(self, x, mode="eval"):
         self._x = x

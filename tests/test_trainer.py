@@ -1,5 +1,7 @@
 """Optimizer, regularization, splits, metrics, and training-loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from mdnn import data as dm
 from mdnn import fusion, trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.errors import ConfigError, TrainingError
-from mdnn.layers import Dense, Net
+from mdnn.layers import Composite, Dense, Net
 from mdnn.trainer import (EpochLog, SplitSpec, TrainConfig, adam_step,
                           evaluate, init_adam_state, metrics_from_counts,
                           onehot, reg_penalty, split_dataset, train_net)
@@ -101,7 +103,7 @@ class TestAdam:
 
 def single_dense_net(w_value):
     net = Net([("d", Dense(1, 1))])
-    net.set_param("d/w", np.array([[float(w_value)]]))
+    net.params["d/w"][...] = np.array([[float(w_value)]])
     return net
 
 
@@ -274,7 +276,7 @@ class TestTrainLoop:
         rows = dm.read_manifest(dm.synth_dataset(4, "separable", 0, tmp_path))
         train = trainer.paired(trainer.audio_features(rows, TINY_AUDIO_CONFIG), rows)
         net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-        net.set_param("dense2/b", np.array([50.0, -800.0]))
+        net.params["dense2/b"][...] = np.array([50.0, -800.0])
         before = {k: v.copy() for k, v in net.params.items()}
         logs = train_net(net, train, [], TrainConfig(epochs=5, rng_seed=0),
                          forward_fn=lambda xs, mode: audio_forward(net, xs, mode),
@@ -290,6 +292,74 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,val_accuracy,val_precision,val_recall"
         assert lines[1] == "1,0.5,0.75,,1.0"
         assert lines[2] == "2,0.25,,,"
+
+
+def assert_namespace_holds_children(composite):
+    """Every entry of a Composite's params and grads is its child's own array."""
+    for lname, layer in composite.layers:
+        for pname, arr in layer.params.items():
+            key = f"{lname}{composite.SEP}{pname}"
+            assert composite.params[key] is arr, key
+            assert composite.grads[key] is layer.grads[pname], key
+        if isinstance(layer, Composite):
+            assert_namespace_holds_children(layer)
+
+
+class TestOwnership:
+    """Parameters, gradients and Adam buffers are allocated once and only ever
+    written in place, so a reference taken at construction stays live."""
+
+    @pytest.mark.parametrize("kind", ["audio", "video"])
+    def test_arrays_keep_their_identity(self, kind, monkeypatch):
+        if kind == "audio":
+            net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
+            fwd, loss_kind = (lambda xs, mode: audio_forward(net, xs, mode)), "sigmoid"
+        else:
+            net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
+            fwd, loss_kind = None, "onehot"
+        rng = np.random.default_rng(0)
+        train = [(rng.standard_normal(net.config.input_shape), onehot(i % 2)) for i in range(4)]
+        states = []
+
+        def adam_arrays(state):
+            return [*state["m"].values(), *state["v"].values(), *state["scratch"]]
+
+        def recording_init(params):
+            state = init_adam_state(params)
+            states.append((state, adam_arrays(state)))
+            return state
+
+        monkeypatch.setattr(trainer, "init_adam_state", recording_init)
+        params, grads = dict(net.params), dict(net.grads)
+        before = {k: v.copy() for k, v in params.items()}
+        net.init_params(1)
+        assert any(not np.array_equal(params[k], before[k]) for k in params)
+        train_net(net, train, [], TrainConfig(epochs=1, batch_size=2, regularization="L2",
+                                              rng_seed=0),
+                  forward_fn=fwd, loss_kind=loss_kind)
+        assert any(np.any(g != 0.0) for g in grads.values())
+        net.zero_grad()
+        assert all(not np.any(g) for g in grads.values())
+        net.jitter(2)
+        assert all(net.params[k] is v for k, v in params.items())
+        assert all(net.grads[k] is v for k, v in grads.items())
+        assert_namespace_holds_children(net)
+        (state, arrays), = states
+        assert len(adam_arrays(state)) == len(arrays)
+        assert all(a is b for a, b in zip(adam_arrays(state), arrays))
+
+    def test_adam_step_allocates_nothing(self):
+        params = {"w": np.ones((256, 256)), "b": np.ones(256)}
+        grads = {k: np.full_like(v, 0.5) for k, v in params.items()}
+        state = init_adam_state(params)
+        adam_step(params, grads, state, TrainConfig())
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["w"].nbytes // 64
 
 
 class TestLateFusionContract:
@@ -312,8 +382,8 @@ class TestLateFusionContract:
         # fused prediction must ignore which clip was shown.
         rng = np.random.default_rng(1)
         vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
-        vnet.set_param("head/w", np.zeros((16, 2)))
-        vnet.set_param("head/b", np.zeros(2))
+        vnet.params["head/w"][...] = np.zeros((16, 2))
+        vnet.params["head/b"][...] = np.zeros(2)
         anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
         fnet = fusion.build_fusion_head(rng_seed=0)
         audio = rng.standard_normal(TINY_AUDIO_CONFIG.input_shape)
