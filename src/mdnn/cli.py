@@ -108,7 +108,7 @@ def _task(kind: str, net, frozen=None):
 
 
 def cmd_train(args) -> int:
-    cfg = dataclasses.replace(_train_config(args), rng_seed=args.seed)
+    cfg = _train_config(args)
     parts = _load_split(args, datamod.read_manifest(args.data))
     video_cfg, audio_cfg = _model_configs(args.tiny)
     out = Path(args.out)
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", choices=["video", "audio", "fusion"], required=True)
     s.add_argument("--data", required=True, help="manifest CSV")
     s.add_argument("--config", help="key=value training config file")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", dest="rng_seed", type=int,
+                   help="seed of initialisation, dropout and shuffling (default 0)")
     s.add_argument("--split-seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--tiny", action="store_true", help="use the small test architectures")

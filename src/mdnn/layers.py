@@ -63,7 +63,13 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer on N x in_dim inputs: Y = X @ W + b."""
+    """Fully connected layer on N x in_dim inputs: Y = X @ W + b.
+
+    The backward adds X.T @ G into the weight gradient one block of rows
+    (``ops.BLOCK_VALUES`` values, one row at least) at a time, each product
+    written into one block-sized buffer, so it never holds a second
+    weight-sized array.
+    """
 
     def __init__(self, in_dim: int, out_dim: int):
         super().__init__({"w": np.zeros((in_dim, out_dim)), "b": np.zeros(out_dim)}, {"w"})
@@ -80,7 +86,11 @@ class Dense(Layer):
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out):
-        self.grads["w"] += self._x.T @ grad_out
+        rows = max(1, ops.BLOCK_VALUES // self.out_dim)
+        product = np.empty((min(rows, self.in_dim), self.out_dim))
+        for start in range(0, self.in_dim, rows):
+            gw = self.grads["w"][start:start + rows]
+            gw += np.matmul(self._x[:, start:start + rows].T, grad_out, out=product[:len(gw)])
         self.grads["b"] += grad_out.sum(axis=0)
         return grad_out @ self.params["w"].T
 

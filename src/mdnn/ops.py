@@ -24,6 +24,23 @@ from .errors import DimensionError, GradientCheckError, ParameterError
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "softmax_lastdim")
 
+# Values per block of an elementwise pass over a large tensor: 256 KiB of
+# float64, so one block stays in L2 cache through all of the pass's operations
+# and the whole tensor streams through memory once.
+BLOCK_VALUES = 1 << 15
+
+
+def blocks(*arrays: np.ndarray):
+    """Matching flat views of same-size C-contiguous ``arrays``, BLOCK_VALUES
+    values at a time (the last run may be shorter).  Arrays that fit in one
+    block come back whole, as the only tuple.  Writes reach the arrays."""
+    size = arrays[0].size
+    if size <= BLOCK_VALUES:
+        return (arrays,)
+    flats = [a.reshape(-1) for a in arrays]
+    return (tuple(f[i:i + BLOCK_VALUES] for f in flats)
+            for i in range(0, size, BLOCK_VALUES))
+
 
 @dataclass(frozen=True)
 class ConvSpec:

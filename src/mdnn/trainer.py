@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
+from . import ops
 from .audio_net import AudioNetConfig, audio_forward
 from .errors import ConfigError, TrainingError
 from .fusion import LOSSES
@@ -79,9 +80,10 @@ def split_dataset(n_items: int, spec: SplitSpec = SplitSpec()):
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
     """Moments ``m`` and ``v`` per tensor, plus the two scratch buffers
-    ``adam_step`` works in, of the largest tensor's size and shared by every
-    tensor, so that a step allocates nothing."""
-    size = max((p.size for p in params.values()), default=0)
+    ``adam_step`` works in: one block (``ops.BLOCK_VALUES``) each, or the
+    largest tensor's size if that is smaller, shared by every tensor, so that
+    a step allocates nothing."""
+    size = min(max((p.size for p in params.values()), default=0), ops.BLOCK_VALUES)
     return {
         "t": 0,
         "m": {k: np.zeros_like(v) for k, v in params.items()},
@@ -95,54 +97,68 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update, in place; returns (params, state).
 
     Computes p -= lr * m_hat / (sqrt(v_hat) + eps), operation by operation in
-    that order, in the state's scratch buffers.
+    that order, in the state's scratch buffers.  A tensor larger than one
+    block runs the whole sequence on one ``ops.blocks`` run of p, g, m and v
+    at a time, so each streams through memory once; the arithmetic is
+    elementwise, so the bits do not depend on the block size.  Every gradient
+    is checked finite before any parameter, moment or ``t`` changes.
     """
     scratch_a, scratch_b = state["scratch"]
     finite = scratch_b.view(bool)  # free until the update below
     for name, g in grads.items():
-        if not np.isfinite(g, out=finite[:g.size].reshape(g.shape)).all():
-            raise TrainingError(f"non-finite gradient in tensor {name!r}")
+        for gb, in ops.blocks(g):
+            if not np.isfinite(gb, out=finite[:gb.size].reshape(gb.shape)).all():
+                raise TrainingError(f"non-finite gradient in tensor {name!r}")
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
     for name, p in params.items():
-        g = grads[name]
-        m = state["m"][name]
-        v = state["v"][name]
-        a = scratch_a[:p.size].reshape(p.shape)
-        b = scratch_b[:p.size].reshape(p.shape)
-        m *= b1
-        m += np.multiply(1 - b1, g, out=a)
-        v *= b2
-        np.multiply(1 - b2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1 - b1 ** t, out=a)  # m_hat
-        a *= config.learning_rate
-        np.divide(v, 1 - b2 ** t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += config.eps
-        a /= b
-        p -= a
+        for pb, g, m, v in ops.blocks(p, grads[name], state["m"][name], state["v"][name]):
+            a = scratch_a[:pb.size].reshape(pb.shape)
+            b = scratch_b[:pb.size].reshape(pb.shape)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            v *= b2
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1 - b1 ** t, out=a)  # m_hat
+            a *= config.learning_rate
+            np.divide(v, 1 - b2 ** t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += config.eps
+            a /= b
+            pb -= a
     return params, state
 
 
-def reg_penalty(net: Net, kind: str, lam: float):
-    """(penalty, per-weight gradient contribution); biases excluded."""
-    contrib: dict[str, np.ndarray] = {}
-    penalty = 0.0
+def reg_penalty(net: Net, kind: str, lam: float) -> float:
+    """The L1 or L2 penalty over ``net.weight_names`` (biases excluded),
+    summed in the namespace order of ``net.params``, so that it does not
+    depend on the set's string-hash order; its gradient, lam * sign(w) or
+    2 * lam * w, is added into ``net.grads`` in place, one ``ops.blocks`` run
+    at a time through one block of scratch."""
     if kind == "none" or lam == 0.0:
-        return 0.0, contrib
-    for name in net.weight_names:
+        return 0.0
+    if kind not in ("L1", "L2"):
+        raise ConfigError(f"unknown regularization {kind!r}")
+    names = [n for n in net.params if n in net.weight_names]
+    penalty = 0.0
+    scratch = np.empty(min(max((net.params[n].size for n in names), default=0),
+                           ops.BLOCK_VALUES))
+    for name in names:
         w = net.params[name]
         if kind == "L1":
             penalty += lam * float(np.abs(w).sum())
-            contrib[name] = lam * np.sign(w)
-        elif kind == "L2":
-            penalty += lam * float((w * w).sum())
-            contrib[name] = 2.0 * lam * w
         else:
-            raise ConfigError(f"unknown regularization {kind!r}")
-    return penalty, contrib
+            penalty += lam * float((w * w).sum())
+        for wb, gb in ops.blocks(w, net.grads[name]):
+            contrib = scratch[:wb.size].reshape(wb.shape)
+            if kind == "L1":
+                np.multiply(lam, np.sign(wb, out=contrib), out=contrib)
+            else:
+                np.multiply(2.0 * lam, wb, out=contrib)
+            gb += contrib
+    return penalty
 
 
 # ----- metrics ----------------------------------------------------------------
@@ -259,9 +275,7 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
             grad = (p - ys) / len(ys)
             for _, layer in reversed(below_head):
                 grad = layer.backward(grad)
-            penalty, contrib = reg_penalty(net, config.regularization, config.reg_lambda)
-            for name, g in contrib.items():
-                net.grads[name] += g
+            penalty = reg_penalty(net, config.regularization, config.reg_lambda)
             loss = loss_fn(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP), ys) + penalty
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {n_batches}")

@@ -3,6 +3,8 @@ gives.  Batching changes only the summation order inside a GEMM, so batch
 results are held to 1e-12 relative against the loop; the N=1 batch is the
 single-sample path and must match it bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,39 @@ def test_eval_batches_stay_under_the_budget(monkeypatch, entry, budget, sizes):
         got = trainer.evaluate(lambda x: recording_video_forward(vnet, x), dataset)
         assert got == loop_report(lambda x: video_forward(vnet, x), dataset)
     assert seen == sizes
+
+
+def dense_wider_than_a_block(in_dim, out_dim, n, seed=0):
+    layer = Dense(in_dim, out_dim)
+    rng = np.random.default_rng(seed)
+    layer.init_params(rng)
+    x, g = rng.standard_normal((n, in_dim)), rng.standard_normal((n, out_dim))
+    layer.forward(x)
+    return layer, x, g
+
+
+def test_dense_weight_gradient_accumulates_block_by_block():
+    """A weight of several row blocks and a ragged last one: the gradient is
+    X.T @ G, and a second backward adds the same again."""
+    layer, x, g = dense_wider_than_a_block(4103, 24, N)
+    assert layer.params["w"].size > 3 * ops.BLOCK_VALUES
+    expected = x.T @ g
+    close(layer.backward(g), g @ layer.params["w"].T)
+    assert np.max(np.abs(layer.grads["w"] - expected)) <= 1e-13 * np.max(np.abs(expected))
+    layer.backward(g)
+    assert np.max(np.abs(layer.grads["w"] - 2 * expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_dense_backward_allocates_about_one_block():
+    """The weight-gradient accumulate holds one block of product, not a
+    weight-sized temporary; the rest is the N x in_dim input gradient."""
+    layer, x, g = dense_wider_than_a_block(8192, 64, 2)
+    layer.backward(g)
+    tracemalloc.start()
+    try:
+        grad_in = layer.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert layer.params["w"].nbytes == 16 * ops.BLOCK_VALUES * 8
+    assert peak < ops.BLOCK_VALUES * 8 + grad_in.nbytes + (64 << 10)

@@ -158,6 +158,29 @@ class TestConfigFile:
         assert "epochs=1" in err      # flag wins
         assert "batch_size=4" in err  # file value survives
 
+    def test_seed_from_file_or_flag_is_the_seed_used(self, workspace, tmp_path, capsys):
+        """``rng_seed`` in a config file trains exactly as ``--seed`` does, the
+        flag wins over the file, and the printed config names the seed that
+        ran."""
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("rng_seed=5\n")
+        runs = {"file": ["--config", str(cfg)], "flag": ["--seed", "5"], "default": [],
+                "flag_over_file": ["--config", str(cfg), "--seed", "0"]}
+        models = {}
+        for name, extra in runs.items():
+            out = tmp_path / name
+            assert run(["train", "--model", "audio", "--tiny", "--epochs", "1",
+                        "--data", str(workspace / "data" / "manifest.csv"),
+                        "--out", str(out)] + extra) == 0
+            seed = 0 if name in ("default", "flag_over_file") else 5
+            line, = (ln for ln in capsys.readouterr().err.splitlines()
+                     if ln.startswith("resolved config: "))
+            assert dict(kv.split("=") for kv in line.split()[2:])["rng_seed"] == str(seed)
+            models[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.ntc"))}
+        assert models["file"] == models["flag"]
+        assert models["default"] == models["flag_over_file"]
+        assert models["file"] != models["default"]
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_zero_epochs_is_usage_error(self, workspace, tmp_path, capsys, source):
         cfg = tmp_path / "train.cfg"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdnn import data as dm
-from mdnn import fusion, trainer
+from mdnn import fusion, ops, trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.errors import ConfigError, TrainingError
 from mdnn.layers import Composite, Dense, Net
@@ -69,7 +69,9 @@ class TestAdam:
                 v_hat = v / (1 - b2 ** t)
                 p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
 
-        shapes = {"a/w": (7, 3), "a/b": (3,), "c/ws": (2, 1, 3, 3)}  # sizes differ
+        # sizes differ; "d/w" spans two whole blocks and a ragged tail
+        shapes = {"a/w": (7, 3), "a/b": (3,), "c/ws": (2, 1, 3, 3),
+                  "d/w": (2 * ops.BLOCK_VALUES + 7,)}
         cfg = TrainConfig(learning_rate=0.003)
         runs = []
         for step_fn in (adam_step, oracle):
@@ -100,6 +102,23 @@ class TestAdam:
         with pytest.raises(TrainingError, match="'w'"):
             adam_step(p, {"w": np.array([1.0, np.nan])}, init_adam_state(p), TrainConfig())
 
+    def test_nonfinite_in_last_block_changes_nothing(self):
+        """A NaN only in the last block of a multi-block gradient is found
+        before any tensor, moment or the step count moves."""
+        size = 3 * ops.BLOCK_VALUES + 5
+        rng = np.random.default_rng(0)
+        params = {"a": rng.standard_normal(size), "z": rng.standard_normal(size)}
+        state = init_adam_state(params)
+        adam_step(params, {k: rng.standard_normal(size) for k in params}, state, TrainConfig())
+        grads = {k: rng.standard_normal(size) for k in params}
+        grads["z"][-2] = np.nan
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, state["m"], state["v"])]
+        with pytest.raises(TrainingError, match="'z'"):
+            adam_step(params, grads, state, TrainConfig())
+        assert state["t"] == 1
+        for old, new in zip(before, (params, state["m"], state["v"])):
+            assert all(np.array_equal(old[k], new[k]) for k in params)
+
 
 def single_dense_net(w_value):
     net = Net([("d", Dense(1, 1))])
@@ -108,36 +127,72 @@ def single_dense_net(w_value):
 
 
 class TestRegularization:
+    """``reg_penalty`` returns the penalty and adds its gradient into
+    ``net.grads``, which start at zero here."""
+
     def test_l1_hand_case(self):
-        penalty, contrib = reg_penalty(single_dense_net(3.0), "L1", 0.01)
-        assert penalty == pytest.approx(0.03)
-        assert contrib["d/w"] == pytest.approx(0.01)
+        net = single_dense_net(3.0)
+        assert reg_penalty(net, "L1", 0.01) == pytest.approx(0.03)
+        assert net.grads["d/w"] == pytest.approx(0.01)
 
     def test_l2_hand_case(self):
-        penalty, contrib = reg_penalty(single_dense_net(3.0), "L2", 0.01)
-        assert penalty == pytest.approx(0.09)
-        assert contrib["d/w"] == pytest.approx(0.06)
+        net = single_dense_net(3.0)
+        assert reg_penalty(net, "L2", 0.01) == pytest.approx(0.09)
+        assert net.grads["d/w"] == pytest.approx(0.06)
 
     def test_none_is_empty(self):
-        penalty, contrib = reg_penalty(single_dense_net(3.0), "none", 0.01)
-        assert penalty == 0.0 and contrib == {}
+        net = single_dense_net(3.0)
+        assert reg_penalty(net, "none", 0.01) == 0.0
+        assert all(not np.any(g) for g in net.grads.values())
 
     def test_biases_excluded(self):
         net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-        _, contrib = reg_penalty(net, "L2", 0.01)
-        assert contrib
-        assert all(not name.endswith("/b") for name in contrib)
-        assert set(contrib) == net.weight_names
+        reg_penalty(net, "L2", 0.01)
+        touched = {name for name, g in net.grads.items() if np.any(g)}
+        assert touched
+        assert all(not name.endswith("/b") for name in touched)
+        assert touched == net.weight_names
+
+    def test_penalty_sums_in_namespace_order(self):
+        """The per-tensor penalties are added in ``net.params`` order, whatever
+        order ``weight_names`` iterates in (a set's order follows the
+        per-process string hash)."""
+        net = Net([(name, Dense(1, 1)) for name in "abc"])
+        for name, w in zip("abc", (1.0, 1e-16, 1e-16)):
+            net.params[f"{name}/w"][...] = w
+        assert reg_penalty(net, "L1", 1.0) == 1.0  # (1 + 1e-16) + 1e-16
+        net.weight_names = ["c/w", "b/w", "a/w"]  # would sum to 1 + 2**-52
+        assert reg_penalty(net, "L1", 1.0) == 1.0
+
+    @pytest.mark.parametrize("kind", ["L1", "L2"])
+    def test_blocked_equals_whole_tensor_formula(self, kind):
+        """Over a weight of several blocks, the penalty and the gradient added
+        block by block are bitwise the whole-tensor formula's."""
+        lam = 0.01
+        net = Net([("d", Dense(2 * ops.BLOCK_VALUES // 16 + 3, 16))])
+        net.init_params(0)
+        w = net.params["d/w"]
+        g0 = np.random.default_rng(1).standard_normal(w.shape)
+        net.grads["d/w"][...] = g0
+        penalty = reg_penalty(net, kind, lam)
+        if kind == "L1":
+            assert penalty == lam * float(np.abs(w).sum())
+            assert np.array_equal(net.grads["d/w"], g0 + lam * np.sign(w))
+        else:
+            assert penalty == lam * float((w * w).sum())
+            assert np.array_equal(net.grads["d/w"], g0 + 2.0 * lam * w)
+        assert not np.any(net.grads["d/b"])
 
     @pytest.mark.parametrize("kind", ["L1", "L2"])
     def test_gradient_matches_finite_differences(self, kind):
         lam, h = 0.01, 1e-6
         rng = np.random.default_rng(0)
         w0 = rng.standard_normal() + 2.0  # keep away from the L1 kink at 0
-        _, contrib = reg_penalty(single_dense_net(w0), kind, lam)
-        pp, _ = reg_penalty(single_dense_net(w0 + h), kind, lam)
-        pm, _ = reg_penalty(single_dense_net(w0 - h), kind, lam)
-        assert contrib["d/w"][0, 0] == pytest.approx((pp - pm) / (2 * h), abs=1e-6)
+        net = single_dense_net(w0)
+        reg_penalty(net, kind, lam)
+        pp = reg_penalty(single_dense_net(w0 + h), kind, lam)
+        pm = reg_penalty(single_dense_net(w0 - h), kind, lam)
+        assert net.grads["d/w"][0, 0] == pytest.approx((pp - pm) / (2 * h), abs=1e-6)
 
 
 class TestSplit:
