@@ -77,7 +77,10 @@ def cmd_extract(args) -> int:
 def cmd_inspect(args) -> int:
     t = datamod.read_container(args.infile)
     print(f"shape: {t.shape}")
-    print(f"min: {t.min():.6g}  max: {t.max():.6g}  mean: {t.mean():.6g}")
+    if t.size:
+        print(f"min: {t.min():.6g}  max: {t.max():.6g}  mean: {t.mean():.6g}")
+    else:
+        print("no values")
     return 0
 
 

@@ -56,7 +56,11 @@ def read_container(path) -> np.ndarray:
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {8 * count}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    try:
+        return values.reshape(dims)
+    except ValueError:  # an empty array whose other dims overflow NumPy's size
+        raise FormatError(f"{path}: dims {dims} are too large for an array") from None
 
 
 def preprocess_audio(clip: AudioClip) -> AudioClip:
@@ -103,8 +107,9 @@ def preprocess_video(frames: np.ndarray, target: tuple[int, int, int, int]) -> n
     c, t, h, w = target
     if frames.shape[0] != c:
         raise DimensionError(f"channel mismatch: input {frames.shape[0]}, target {c}")
-    if frames.shape[1] < 1:
-        raise InputError("video must contain at least one frame")
+    if 0 in frames.shape[1:]:
+        raise InputError(f"video must have at least one frame of at least one pixel, "
+                         f"got C x T x H x W = {frames.shape}")
     if not np.isfinite(frames).all():
         raise DomainError("video contains non-finite values")
     picked = frames[:, uniform_indices(frames.shape[1], t)]
@@ -158,8 +163,9 @@ def read_manifest(path) -> list[ManifestRow]:
     if reader.fieldnames != ["video", "audio", "label"]:
         raise FormatError(f"{path}: manifest header must be video,audio,label")
     for rec in reader:
-        if not rec["video"] or not rec["audio"]:
-            raise FormatError(f"{path}: empty path in manifest")
+        for p in (rec["video"], rec["audio"]):
+            if not p or "\0" in p:  # no file can have either name
+                raise FormatError(f"{path}: empty path or NUL byte in manifest: {p!r}")
         try:
             label = int(rec["label"])
         except (TypeError, ValueError):  # missing or non-numeric

@@ -8,14 +8,14 @@ unbatched sample, which they run through the whole stack as the N=1 batch;
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
-(``init_params``, ``zero_grad``, the backward's ``+=``, ``model_io.load_net``
-and Adam), so any reference to one of these arrays stays valid for the
-layer's life.  A ``Composite`` (a ``Net``, or a residual block inside one) is
-a layer whose ``params`` and ``grads`` are plain dicts, built once, holding
-its children's own arrays under one ordered namespace (the serialization
-order).  Forward passes save whatever the matching backward pass needs;
-``backward`` must be called in exact reverse order of ``forward``, which
-``Net`` guarantees.
+(``init_params``, the backward, ``model_io.load_net`` and Adam), so any
+reference to one of these arrays stays valid for the layer's life.  Each
+backward writes its parameter gradients, overwriting the last call's.  A
+``Composite`` (a ``Net``, or a residual block inside one) is a layer whose
+``params`` and ``grads`` are plain dicts, built once, holding its children's
+own arrays under one ordered namespace (the serialization order).  Forward
+passes save whatever the matching backward pass needs; ``backward`` must be
+called in exact reverse order of ``forward``, which ``Net`` guarantees.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class Layer:
     """Base layer: parameter dict, gradient dict, weight/bias distinction.
 
-    ``params`` and one zero gradient per parameter are allocated here, once;
+    ``params`` and one gradient per parameter are allocated here, once;
     ``weight_names`` are the regularized params (biases excluded).
     """
 
@@ -46,10 +46,6 @@ class Layer:
 
     def init_params(self, rng: np.random.Generator):
         pass
-
-    def zero_grad(self):
-        for g in self.grads.values():
-            g.fill(0.0)
 
     def full3d_weight_count(self) -> int:
         """Weights with every (2+1)D factor pair counted as its full 3-D kernel."""
@@ -65,10 +61,10 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer on N x in_dim inputs: Y = X @ W + b.
 
-    The backward adds X.T @ G into the weight gradient one block of rows
+    The backward writes X.T @ G into the weight gradient one block of rows
     (``ops.BLOCK_VALUES`` values, one row at least) at a time, each product
-    written into one block-sized buffer, so it never holds a second
-    weight-sized array.
+    straight into its rows of the gradient: a block keeps the product in
+    cache, and no second weight-sized array is held.
     """
 
     def __init__(self, in_dim: int, out_dim: int):
@@ -86,12 +82,11 @@ class Dense(Layer):
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out):
-        rows = max(1, ops.BLOCK_VALUES // self.out_dim)
-        product = np.empty((min(rows, self.in_dim), self.out_dim))
-        for start in range(0, self.in_dim, rows):
-            gw = self.grads["w"][start:start + rows]
-            gw += np.matmul(self._x[:, start:start + rows].T, grad_out, out=product[:len(gw)])
-        self.grads["b"] += grad_out.sum(axis=0)
+        step = max(1, ops.BLOCK_VALUES // self.out_dim)
+        for start in range(0, self.in_dim, step):
+            rows = slice(start, start + step)
+            np.matmul(self._x[:, rows].T, grad_out, out=self.grads["w"][rows])
+        np.sum(grad_out, axis=0, out=self.grads["b"])
         return grad_out @ self.params["w"].T
 
 
@@ -117,8 +112,8 @@ class Conv2D(Layer):
 
     def backward(self, grad_out):
         gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec)
-        self.grads["w"] += gw
-        self.grads["b"] += gb
+        self.grads["w"][...] = gw
+        self.grads["b"][...] = gb
         return gi
 
 
@@ -255,14 +250,14 @@ class Conv2Plus1D(Layer):
         gflat, gwt, gbt = ops.conv2d_backward(g, self._flat, self.params["wt"],
                                               self.temporal_spec,
                                               stride_hw=(self.temporal_stride, 1))
-        self.grads["wt"] += gwt
-        self.grads["bt"] += gbt
+        self.grads["wt"][...] = gwt
+        self.grads["bt"][...] = gbt
         gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
         gx, gws, gbs = ops.conv2d_backward(gmid.transpose(0, 2, 1, 3, 4),
                                            self._x.transpose(0, 2, 1, 3, 4),
                                            self.params["ws"], self.spatial_spec)
-        self.grads["ws"] += gws
-        self.grads["bs"] += gbs
+        self.grads["ws"][...] = gws
+        self.grads["bs"][...] = gbs
         return gx.transpose(0, 2, 1, 3, 4)
 
     def factored_weight_count(self) -> int:
@@ -299,8 +294,8 @@ class Projection(Layer):
 
     def backward(self, grad_out):
         rest = [0, 2, 3, 4]
-        self.grads["w"] += np.tensordot(grad_out, self._xs, axes=(rest, rest))
-        self.grads["b"] += grad_out.sum(axis=tuple(rest))
+        self.grads["w"][...] = np.tensordot(grad_out, self._xs, axes=(rest, rest))
+        self.grads["b"][...] = grad_out.sum(axis=tuple(rest))
         gs = np.moveaxis(np.tensordot(self.params["w"].T, grad_out, axes=([1], [1])), 0, 1)
         gx = np.zeros(self._shape)
         ts, ss = self.temporal_stride, self.spatial_stride

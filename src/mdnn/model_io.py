@@ -106,13 +106,18 @@ def param_sha256(net: Net) -> str:
 
 
 def save_net(directory, net: Net):
+    """Write ``net`` into ``directory``, over any model already there.
+    ``params.txt`` is the commit marker: it is removed first and written
+    last, so a save that stops part way leaves a directory ``load_net``
+    refuses, never a mix of two models."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "params.txt").unlink(missing_ok=True)
     _kv_write(directory / "model.txt", _arch_mapping(net))
     names = list(net.params)
-    (directory / "params.txt").write_text("".join(n + "\n" for n in names))
     for name in names:
         write_container(directory / _param_filename(name), net.params[name])
+    (directory / "params.txt").write_text("".join(n + "\n" for n in names))
 
 
 def load_net(directory) -> Net:

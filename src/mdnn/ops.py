@@ -305,8 +305,8 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
     """Compare every analytic gradient of ``model`` to central finite differences.
 
     ``model`` follows the layer-net protocol: ``forward(x, mode)``,
-    ``backward(grad)`` returning the input gradient and filling per-parameter
-    ``grads``, plus ordered ``params``/``grads`` dicts and ``zero_grad()``.
+    ``backward(grad)`` returning the input gradient and writing per-parameter
+    ``grads``, plus ordered ``params``/``grads`` dicts.
     The scalar objective is a fixed random projection of the output so every
     output component contributes.  Returns a report with per-tensor max
     relative error and an overall ``ok`` flag.
@@ -319,7 +319,6 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
     def objective() -> float:
         return float(np.sum(model.forward(x, mode="eval") * proj))
 
-    model.zero_grad()
     model.forward(x, mode="eval")
     grad_x = model.backward(proj.copy())
 

@@ -270,7 +270,6 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
         epoch_loss = 0.0
         n_batches = 0
         for xs, ys in _minibatches(train_set, config.batch_size, order):
-            net.zero_grad()
             p = fwd(xs, mode="train")
             grad = (p - ys) / len(ys)
             for _, layer in reversed(below_head):

@@ -70,6 +70,13 @@ class TestExtractInspect:
         assert "shape: (778, 13, 1)" in stdout
         assert dm.read_container(out).shape == (778, 13, 1)
 
+    def test_inspect_empty_container(self, tmp_path, capsys):
+        """A container with a zero-length axis is valid and has no range."""
+        p = tmp_path / "empty.ntc"
+        dm.write_container(p, np.zeros((3, 0)))
+        assert run(["inspect", "--in", str(p)]) == 0
+        assert capsys.readouterr().out == "shape: (3, 0)\nno values\n"
+
     def test_extract_deterministic(self, workspace, tmp_path, capsys):
         wav = dm.read_manifest(workspace / "data" / "manifest.csv")[0].audio_path
         a, b = tmp_path / "a.ntc", tmp_path / "b.ntc"
@@ -303,6 +310,13 @@ class TestTypedParseErrors:
         assert run(argv) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_manifest_path_with_nul_byte(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("video,audio,label\n" + "v.ntc,a\0.wav,1\n" * 3)
+        assert run(["eval", "--model-dir", str(workspace / "audio"),
+                    "--data", str(manifest)]) == 2
+        assert "NUL byte" in capsys.readouterr().err
+
     def test_manifest_label_not_a_number(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "m.csv"
         manifest.write_text("video,audio,label\nv.ntc,a.wav,x\n")
@@ -354,6 +368,41 @@ class TestTypedParseErrors:
         assert run(["predict", "--model-dir", str(workspace / "bundle"),
                     "--video", row.video_path, "--audio", row.audio_path]) == 2
         assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(1, 0, 16, 16), (1, 4, 0, 16), (1, 4, 16, 0)],
+                             ids=["no_frames", "zero_height", "zero_width"])
+    def test_predict_empty_video_axis(self, workspace, tmp_path, capsys, shape):
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        clip = tmp_path / "clip.ntc"
+        dm.write_container(clip, np.zeros(shape))
+        assert run(["predict", "--model-dir", str(workspace / "bundle"),
+                    "--video", str(clip), "--audio", row.audio_path]) == 2
+        assert "at least one frame" in capsys.readouterr().err
+
+    def test_interrupted_overwrite_does_not_load(self, workspace, tmp_path, monkeypatch,
+                                                 capsys):
+        """A save over an existing model that stops after some parameter
+        files leaves a directory that loads as neither model."""
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        net = model_io.load_net(model)
+        assert len(net.params) == 8
+        for p in net.params.values():
+            p += 1.0
+        written = []
+
+        def failing_write(path, t):
+            if len(written) == 3:
+                raise OSError("No space left on device")
+            written.append(path)
+            dm.write_container(path, t)
+
+        monkeypatch.setattr(model_io, "write_container", failing_write)
+        with pytest.raises(OSError):
+            model_io.save_net(model, net)
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert "params.txt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (8, 16, 16)],
                              ids=["two_channels", "rank_3"])

@@ -167,7 +167,6 @@ class TestLogitGradient:
         net.reseed_dropout(cfg.rng_seed + 1)
         order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
         p = forward(net)(xs[order], mode="train")
-        net.zero_grad()
         net.backward_batch(oracle(p, np.stack([train[i][1] for i in order])))
         for name, g in net.grads.items():
             assert np.abs(trained.grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name

@@ -49,8 +49,8 @@ class ConvOp(Layer):
     def backward(self, grad_out):
         gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec,
                                          self.stride_hw)
-        self.grads["w"] += gw
-        self.grads["b"] += gb
+        self.grads["w"][...] = gw
+        self.grads["b"][...] = gb
         return gi
 
 
