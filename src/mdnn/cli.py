@@ -19,9 +19,9 @@ from . import data as datamod
 from . import dsp, model_io, trainer
 from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                         AudioNetConfig, audio_forward, build_audio_net)
-from .errors import (DomainError, FormatError, GradientCheckError, InputError,
-                     MdnnError, TrainingError)
-from .fusion import FUSION_INPUT_DIM, build_fusion_head, concat_outputs
+from .errors import (ConfigError, DomainError, FormatError, GradientCheckError,
+                     InputError, MdnnError, TrainingError)
+from .fusion import FUSION_INPUT_DIM, build_fusion_head
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
@@ -77,10 +77,17 @@ def cmd_extract(args) -> int:
 def cmd_inspect(args) -> int:
     t = datamod.read_container(args.infile)
     print(f"shape: {t.shape}")
-    if t.size:
-        print(f"min: {t.min():.6g}  max: {t.max():.6g}  mean: {t.mean():.6g}")
-    else:
+    if t.size == 0:
         print("no values")
+        return 0
+    finite = t[np.isfinite(t)]
+    if t.size > finite.size:
+        print(f"non-finite: nan={np.count_nonzero(np.isnan(t))} "
+              f"+inf={np.count_nonzero(t == np.inf)} -inf={np.count_nonzero(t == -np.inf)}")
+    if finite.size:
+        # a sum of x / n cannot overflow where the sum of x would
+        mean = np.sum(finite / finite.size)
+        print(f"min: {finite.min():.6g}  max: {finite.max():.6g}  mean: {mean:.6g}")
     return 0
 
 
@@ -91,23 +98,25 @@ def cmd_synth(args) -> int:
 
 
 def _load_split(args, rows):
-    splits = trainer.split_dataset(len(rows), SplitSpec(seed=args.split_seed))
+    try:
+        splits = trainer.split_dataset(len(rows), SplitSpec(seed=args.split_seed))
+    except ConfigError as e:  # too few rows: the manifest is at fault
+        raise FormatError(f"{args.data}: {e}") from e
     named = dict(zip(("train", "val", "test"), splits))
     return {k: [rows[i] for i in idx] for k, idx in named.items()}
 
 
 def _task(kind: str, net, frozen=None):
-    """(features(rows), forward(x, mode)) for a model of ``kind``; forward takes
-    one sample or an N x ... batch of them.  ``frozen`` is the (video, audio)
-    pair whose outputs a fusion head reads."""
+    """(features(rows), forward(xs, mode)) for a model of ``kind``; forward
+    takes an N x ... batch, as ``train_net`` and ``evaluate`` pass it.
+    ``frozen`` is the (video, audio) pair whose outputs a fusion head reads."""
     if kind == "video":
         return ((lambda rows: trainer.video_features(rows, net.config)),
                 lambda x, mode="eval": video_forward(net, x, mode))
     if kind == "audio":
         return ((lambda rows: trainer.audio_features(rows, net.config)),
                 lambda x, mode="eval": audio_forward(net, x, mode))
-    return ((lambda rows: trainer.fusion_features(rows, *frozen)),
-            lambda x, mode="eval": net.run(x, (FUSION_INPUT_DIM,), mode))
+    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.forward
 
 
 def cmd_train(args) -> int:
@@ -169,7 +178,7 @@ def cmd_predict(args) -> int:
     vnet, anet, fnet = model_io.load_bundle(args.model_dir)
     yv = video_forward(vnet, datamod.video_input(args.video, vnet.config.input_shape))
     ya = audio_forward(anet, datamod.audio_input(args.audio, anet.config.input_shape[0]))
-    p = fnet.forward(concat_outputs(yv, ya), mode="eval")
+    p = fnet.run(np.concatenate([yv, ya]), (FUSION_INPUT_DIM,))
     label = int(np.argmax(p))
     print(f"label: {label} ({'positive' if label == 1 else 'negative'})")
     print(f"y_video: [{yv[0]:.6f}, {yv[1]:.6f}]")

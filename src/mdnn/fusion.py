@@ -22,15 +22,6 @@ FUSION_HIDDEN_DIM = 16
 CONCAT_ORDER = ("video", "audio")
 
 
-def concat_outputs(yv: np.ndarray, ya: np.ndarray) -> np.ndarray:
-    """[y_video ; y_audio] -> 4-vector, values untouched."""
-    yv = np.asarray(yv, dtype=np.float64)
-    ya = np.asarray(ya, dtype=np.float64)
-    if yv.shape != (2,) or ya.shape != (2,):
-        raise DimensionError(f"modality outputs must be 2-vectors, got {yv.shape}, {ya.shape}")
-    return np.concatenate([yv, ya])
-
-
 def build_fusion_head(rng_seed: int = 0) -> Net:
     net = Net([
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
@@ -99,8 +90,8 @@ LOSSES = {
 
 def fused_forward(video_net: Net, audio_net: Net, fusion_net: Net,
                   clip: np.ndarray, mfcc: np.ndarray) -> np.ndarray:
-    """End-to-end prediction; the unimodal networks act as frozen constants."""
-    yv = video_forward(video_net, clip)
-    ya = audio_forward(audio_net, mfcc, mode="eval")
-    fused = concat_outputs(yv, ya)
-    return fusion_net.forward(fused, mode="eval")
+    """End-to-end prediction; the unimodal networks act as frozen constants.
+    The head reads [y_video ; y_audio] (``CONCAT_ORDER``)."""
+    fused = np.concatenate([video_forward(video_net, clip), audio_forward(audio_net, mfcc)],
+                           axis=-1)
+    return fusion_net.run(fused, (FUSION_INPUT_DIM,))

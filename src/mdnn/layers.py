@@ -1,10 +1,9 @@
 """Layer objects with hand-written backward passes, composed into ``Net`` stacks.
 
-Every layer is batch-first: ``forward`` takes an N x ... batch, ``backward``
-the gradient of the whole batch's output, and the parameter gradients are
-summed over the batch.  Only ``Net.forward``/``Net.backward`` take one
-unbatched sample, which they run through the whole stack as the N=1 batch;
-``Net.run`` takes either form.
+Every layer, ``Net`` included, is batch-first: ``forward`` takes an N x ...
+batch, ``backward`` the gradient of the whole batch's output, and the
+parameter gradients are summed over the batch.  ``Net.run`` takes any leading
+axes in front of a sample as the batch, so one sample runs as the N=1 batch.
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
@@ -377,9 +376,8 @@ class Residual2Plus1DBlock(Composite):
 class Net(Composite):
     """Ordered layer stack with a flat, ordered parameter namespace.
 
-    ``forward_batch``/``backward_batch`` run an N x ... batch through every
-    layer once; ``forward``/``backward`` run one unbatched sample as the N=1
-    batch; ``run`` takes either, telling them apart by the sample shape.
+    ``forward``/``backward`` run an N x ... batch through every layer once;
+    ``run`` takes one sample or any leading batch axes in front of it.
     """
 
     SEP = "/"
@@ -399,33 +397,28 @@ class Net(Composite):
             if isinstance(layer, Dropout):
                 layer.reseed(seed + i)
 
-    def forward_batch(self, x, mode="eval"):
+    def forward(self, x, mode="eval"):
         for _, layer in self.layers:
             x = layer.forward(x, mode)
         return x
 
-    def backward_batch(self, grad_out):
+    def backward(self, grad_out):
         g = grad_out
         for _, layer in reversed(self.layers):
             g = layer.backward(g)
         return g
 
-    def forward(self, x, mode="eval"):
-        return self.forward_batch(np.asarray(x)[None], mode)[0]
-
-    def backward(self, grad_out):
-        return self.backward_batch(np.asarray(grad_out)[None])[0]
-
     def run(self, x, sample_shape: tuple, mode="eval"):
-        """Forward one sample of ``sample_shape`` or an (N,) + sample_shape
-        batch; DimensionError for any other shape."""
+        """Forward an input of shape lead + ``sample_shape`` as one batch of
+        its samples; the output keeps the leading axes ``lead``, none for
+        one sample.  DimensionError if the trailing axes are not
+        ``sample_shape``."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape == sample_shape:
-            return self.forward(x, mode)
-        if x.shape[1:] == sample_shape:
-            return self.forward_batch(x, mode)
-        raise DimensionError(f"input shape {x.shape} != expected {sample_shape} "
-                             f"or (N,) + {sample_shape}")
+        lead = x.shape[:max(0, x.ndim - len(sample_shape))]
+        if x.shape[len(lead):] != sample_shape:
+            raise DimensionError(f"input shape {x.shape} does not end in {sample_shape}")
+        y = self.forward(x.reshape((-1,) + sample_shape), mode)
+        return y.reshape(lead + y.shape[1:])
 
     def param_bytes(self) -> bytes:
         return b"".join(np.ascontiguousarray(v).tobytes() for v in self.params.values())

@@ -304,23 +304,26 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
                    seed: int = 0, check_input: bool = True) -> dict:
     """Compare every analytic gradient of ``model`` to central finite differences.
 
-    ``model`` follows the layer-net protocol: ``forward(x, mode)``,
-    ``backward(grad)`` returning the input gradient and writing per-parameter
-    ``grads``, plus ordered ``params``/``grads`` dicts.
+    ``model`` follows the batch-first layer protocol: ``forward(xs, mode)`` on
+    an N x ... batch, ``backward(grad)`` returning the batch's input gradient
+    and writing per-parameter ``grads``, plus ordered ``params``/``grads``
+    dicts.  ``x`` is one sample; the model runs it as the N=1 batch ``x[None]``,
+    a view, so perturbing ``x`` perturbs the batch.
     The scalar objective is a fixed random projection of the output so every
     output component contributes.  Returns a report with per-tensor max
     relative error and an overall ``ok`` flag.
     """
     x = as_f64(x)
+    xs = x[None]
     rng = np.random.default_rng(seed)
-    y0 = model.forward(x, mode="eval")
+    y0 = model.forward(xs, mode="eval")
     proj = rng.standard_normal(y0.shape)
 
     def objective() -> float:
-        return float(np.sum(model.forward(x, mode="eval") * proj))
+        return float(np.sum(model.forward(xs, mode="eval") * proj))
 
-    model.forward(x, mode="eval")
-    grad_x = model.backward(proj.copy())
+    model.forward(xs, mode="eval")
+    grad_x = model.backward(proj.copy())[0]
 
     def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
         if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))):

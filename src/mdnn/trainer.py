@@ -240,7 +240,7 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
     """Optimize ``net`` on (x, onehot-y) pairs; returns the per-epoch log.
 
     ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
-    probabilities and defaults to ``net.forward_batch``.  Each minibatch runs
+    probabilities and defaults to ``net.forward``.  Each minibatch runs
     one train-mode forward and one backward through the layers, so the layer
     caches hold exactly one minibatch and memory grows with ``batch_size``;
     each epoch ends with ``evaluate`` of that forward on ``val_set``.
@@ -260,7 +260,7 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
     if not (isinstance(head, Activation) and head.kind == head_kind):
         raise ConfigError(f"loss_kind {loss_kind!r} trains through a final {head_kind!r} "
                           f"activation, but the net ends in layer {head_name!r}")
-    fwd = forward_fn or net.forward_batch
+    fwd = forward_fn or net.forward
     net.reseed_dropout(config.rng_seed + 1)
     shuffle_rng = np.random.default_rng(config.rng_seed + 2)
     state = init_adam_state(net.params)

@@ -94,6 +94,6 @@ def comp_trained(comp_rows, comp_audio_feats, comp_video_feats):
     return {
         "audio_net": anet, "audio_fwd": afwd, "video_net": vnet, "fusion_net": fnet,
         "audio_test_acc": trainer.evaluate(lambda x: afwd(x), a_te).accuracy,
-        "video_test_acc": trainer.evaluate(vnet.forward_batch, v_te).accuracy,
-        "fused_test_acc": trainer.evaluate(fnet.forward_batch, f_te).accuracy,
+        "video_test_acc": trainer.evaluate(vnet.forward, v_te).accuracy,
+        "fused_test_acc": trainer.evaluate(fnet.forward, f_te).accuracy,
     }

@@ -1,7 +1,8 @@
-"""Batch-first layers: an N x ... batch must give what a loop of single samples
-gives.  Batching changes only the summation order inside a GEMM, so batch
-results are held to 1e-12 relative against the loop; the N=1 batch is the
-single-sample path and must match it bit for bit."""
+"""Batch-first layers and nets: an N x ... batch must give what a loop of
+single samples gives.  Batching changes only the summation order inside a
+GEMM, so batch results are held to 1e-12 relative against the loop.  A net
+takes batches only; ``Net.run`` runs one sample as the N=1 batch, so the two
+match bit for bit."""
 
 import tracemalloc
 
@@ -11,7 +12,8 @@ import pytest
 from mdnn import ops, trainer
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_forward,
                             build_audio_net)
-from mdnn.fusion import FUSION_INPUT_DIM, build_fusion_head, concat_outputs
+from mdnn.errors import DimensionError
+from mdnn.fusion import FUSION_INPUT_DIM, build_fusion_head
 from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout, Flatten,
                          GlobalAvgPool, Projection, Residual2Plus1DBlock)
 from mdnn.ops import ConvSpec
@@ -30,7 +32,7 @@ def close(a, b):
 
 
 # name -> (net, forward(net, x, mode), sample shape); each forward takes one
-# sample or a batch
+# sample or any leading batch axes in front of it
 CASES = {
     "video_tiny": (lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=3),
                    video_forward, TINY_VIDEO_CONFIG.input_shape),
@@ -68,9 +70,22 @@ def test_batch_of_one_is_bitwise_the_sample(name):
     assert np.array_equal(fwd(xs[:1])[0], fwd(xs[0]))
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_nets_take_batches_only(name):
+    """``Net.forward`` refuses one unbatched sample; ``run`` takes any leading
+    axes as the batch, so a 2 x 2 grid of samples is the batch of four."""
+    net, fwd, xs = make(name)
+    # the audio net's sample is the MFCC matrix as a (1, frames, coeffs) image
+    x = np.moveaxis(xs[0], -1, -3) if name.startswith("audio") else xs[0]
+    with pytest.raises(DimensionError):
+        net.forward(x)
+    grid = fwd(xs[:4].reshape((2, 2) + xs.shape[1:]))
+    assert np.array_equal(grid, fwd(xs[:4]).reshape(2, 2, 2))
+
+
 def input_grad(net, fwd, x, g, batched):
     fwd(x)
-    return net.backward_batch(g) if batched else net.backward(g)
+    return net.backward(g) if batched else net.backward(g[None])[0]
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -154,6 +169,20 @@ LAYER_KINDS = {
 }
 
 
+class WholeBatch:
+    """A layer whose one sample is a whole N x ... batch: ``gradient_check``
+    adds a batch axis of one, which this strips before the layer sees it."""
+
+    def __init__(self, layer):
+        self.layer, self.params, self.grads = layer, layer.params, layer.grads
+
+    def forward(self, xs, mode="eval"):
+        return self.layer.forward(xs[0], mode)[None]
+
+    def backward(self, grad_out):
+        return self.layer.backward(grad_out[0])[None]
+
+
 @pytest.mark.parametrize("kind", list(LAYER_KINDS))
 def test_gradient_check_through_batched_layers(kind):
     build, shape = LAYER_KINDS[kind]
@@ -165,7 +194,7 @@ def test_gradient_check_through_batched_layers(kind):
     x = rng.standard_normal(shape)
     x = np.where(np.abs(x) < 1e-2, 0.5, x)
     assert layer.forward(x).shape[0] == 3
-    report = ops.gradient_check(layer, x, tolerance=1e-5)
+    report = ops.gradient_check(WholeBatch(layer), x, tolerance=1e-5)
     assert report["ok"], report
 
 
@@ -219,7 +248,7 @@ def test_eval_batches_stay_under_the_budget(monkeypatch, entry, budget, sizes):
     if entry == "fusion_features":
         monkeypatch.setattr(trainer, "video_forward", recording_video_forward)
         got = trainer.fusion_features([None] * 5, vnet, anet, vfeats=vs, afeats=as_)
-        close(got, [concat_outputs(video_forward(vnet, v), audio_forward(anet, a))
+        close(got, [np.concatenate([video_forward(vnet, v), audio_forward(anet, a)])
                     for v, a in zip(vs, as_)])
     else:
         # move the head's decision boundary to the clips' mean, so both classes

@@ -2,6 +2,7 @@
 
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,23 @@ class TestExtractInspect:
         dm.write_container(p, np.zeros((3, 0)))
         assert run(["inspect", "--in", str(p)]) == 0
         assert capsys.readouterr().out == "shape: (3, 0)\nno values\n"
+
+    @pytest.mark.parametrize("values, out", [
+        ([1.0, np.inf, -np.inf], "non-finite: nan=0 +inf=1 -inf=1\n"
+                                 "min: 1  max: 1  mean: 1\n"),
+        ([1e308, 1e308], "min: 1e+308  max: 1e+308  mean: 1e+308\n"),
+        ([np.nan, np.inf, 2.0, 4.0], "non-finite: nan=1 +inf=1 -inf=0\n"
+                                     "min: 2  max: 4  mean: 3\n"),
+    ], ids=["both_infinities", "near_float_max", "nan_and_inf"])
+    def test_inspect_non_finite_and_huge_values(self, tmp_path, capsys, values, out):
+        """Non-finite values are counted; the mean is over the finite ones and
+        cannot overflow, and no floating-point warning is raised."""
+        p = tmp_path / "t.ntc"
+        dm.write_container(p, np.array(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["inspect", "--in", str(p)]) == 0
+        assert capsys.readouterr().out == "shape: ({},)\n".format(len(values)) + out
 
     def test_extract_deterministic(self, workspace, tmp_path, capsys):
         wav = dm.read_manifest(workspace / "data" / "manifest.csv")[0].audio_path
@@ -316,6 +334,22 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(workspace / "audio"),
                     "--data", str(manifest)]) == 2
         assert "NUL byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_too_short_to_split(self, workspace, tmp_path, capsys, command, rows):
+        """Fewer than 3 rows cannot be split into train, val and test: a
+        data error naming the manifest, not a usage error."""
+        source = workspace / "data" / "manifest.csv"
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("".join(source.read_text().splitlines(True)[:1 + rows]))
+        assert len(dm.read_manifest(manifest)) == rows
+        argv = {"train": ["train", "--model", "audio", "--tiny", "--epochs", "1",
+                          "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--model-dir", str(workspace / "audio")]}[command]
+        assert run(argv + ["--data", str(manifest)]) == 2
+        assert f"{manifest}: need at least 3 items to split, got {rows}" in \
+            capsys.readouterr().err
 
     def test_manifest_label_not_a_number(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mdnn import fusion, ops
-from mdnn.audio_net import GRADCHECK_AUDIO_CONFIG, audio_forward, build_audio_net
+from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_forward,
+                            build_audio_net)
 from mdnn.errors import DomainError
 from mdnn.layers import Net
 from mdnn.trainer import TrainConfig, onehot, train_net
+from mdnn.video_net import TINY_VIDEO_CONFIG, build_video_net, video_forward
 
 
 # dL/dp of each loss in fusion.LOSSES: the chain-rule oracle for the (p - y)/N
@@ -30,17 +32,19 @@ def random_onehot(rng, n: int) -> np.ndarray:
 
 
 class TestConcat:
-    def test_order_and_values(self):
-        got = fusion.concat_outputs(np.array([0.9, 0.1]), np.array([0.6, 0.4]))
-        assert np.array_equal(got, [0.9, 0.1, 0.6, 0.4])
-
-    def test_identical_halves(self):
-        y = np.array([0.3, 0.7])
-        got = fusion.concat_outputs(y, y)
-        assert np.array_equal(got[:2], got[2:])
-
-    def test_length_always_four(self):
-        assert fusion.concat_outputs(np.array([0.5, 0.5]), np.array([0.1, 0.9])).shape == (4,)
+    def test_head_reads_video_then_audio(self):
+        """``fused_forward`` is the head run on [video_forward ; audio_forward],
+        video first, bit for bit."""
+        rng = np.random.default_rng(2)
+        vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=1)
+        anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=2)
+        fnet = fusion.build_fusion_head(rng_seed=3)
+        clip = rng.random(TINY_VIDEO_CONFIG.input_shape)
+        mfcc = rng.standard_normal(TINY_AUDIO_CONFIG.input_shape)
+        head_input = np.concatenate([video_forward(vnet, clip), audio_forward(anet, mfcc)])
+        assert fusion.CONCAT_ORDER == ("video", "audio")
+        assert np.array_equal(fusion.fused_forward(vnet, anet, fnet, clip, mfcc),
+                              fnet.forward(head_input[None])[0])
 
 
 class TestFusionHead:
@@ -56,7 +60,7 @@ class TestFusionHead:
 
     def test_output_sums_to_one(self):
         net = fusion.build_fusion_head(1)
-        out = net.forward(np.array([0.9, 0.1, 0.2, 0.8]))
+        out = net.run(np.array([0.9, 0.1, 0.2, 0.8]), (fusion.FUSION_INPUT_DIM,))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert ((out > 0) & (out < 1)).all()
 
@@ -152,7 +156,7 @@ class TestLogitGradient:
         if kind == "onehot":
             build = lambda: fusion.build_fusion_head(rng_seed=0)
             xs = rng.uniform(0.0, 1.0, (6, 4))
-            forward = lambda net: net.forward_batch
+            forward = lambda net: net.forward
         else:
             build = lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=0)
             xs = rng.standard_normal((6,) + GRADCHECK_AUDIO_CONFIG.input_shape)
@@ -167,7 +171,7 @@ class TestLogitGradient:
         net.reseed_dropout(cfg.rng_seed + 1)
         order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
         p = forward(net)(xs[order], mode="train")
-        net.backward_batch(oracle(p, np.stack([train[i][1] for i in order])))
+        net.backward(oracle(p, np.stack([train[i][1] for i in order])))
         for name, g in net.grads.items():
             assert np.abs(trained.grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name
 
@@ -192,8 +196,8 @@ class TestFusedForward:
     def test_prediction_flips_on_swap(self):
         net = self._antisymmetric_head()
         yv, ya = np.array([0.9, 0.1]), np.array([0.7, 0.3])
-        p = net.forward(fusion.concat_outputs(yv, ya))
-        p_swapped = net.forward(fusion.concat_outputs(yv[::-1], ya[::-1]))
+        p, p_swapped = net.forward(np.stack([np.concatenate([yv, ya]),
+                                             np.concatenate([yv[::-1], ya[::-1]])]))
         assert np.argmax(p) == 0
         assert np.argmax(p_swapped) == 1
         assert np.allclose(p, p_swapped[::-1], atol=1e-12)

@@ -291,7 +291,7 @@ class TestTrainLoop:
         net = fusion.build_fusion_head(rng_seed=0)
         logs = train_net(net, train, [], TrainConfig(epochs=60, rng_seed=0))
         assert logs[-1].train_loss < logs[0].train_loss
-        assert evaluate(net.forward_batch, train).accuracy == 1.0
+        assert evaluate(net.forward, train).accuracy == 1.0
 
     def test_same_seed_bitwise_identical(self):
         train = random_fusion_set(16, np.random.default_rng(1))
