@@ -1,9 +1,9 @@
 """Audio classifier over MFCC matrices.
 
 Two 16-filter 3x3 valid convolutions with ReLU, flatten, dropout, a hidden
-dense layer, then a 2-unit dense layer squashed elementwise by a sigmoid.
-The two output probabilities are independent (they need not sum to 1);
-the predicted class is their argmax.
+dense layer, then a 2-unit dense layer: the logits, which the net's sigmoid
+output squashes elementwise.  The two output probabilities are independent
+(they need not sum to 1); the predicted class is their argmax.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int = 0
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
         ("relu3", Activation("relu")),
         ("dense2", Dense(config.dense1_width, config.num_classes)),
-        ("sigmoid", Activation("sigmoid")),
-    ])
+    ], output="sigmoid")
     net.config = config
     net.init_params(rng_seed)
     return net

@@ -108,15 +108,16 @@ def _load_split(args, rows):
 
 def _task(kind: str, net, frozen=None):
     """(features(rows), forward(xs, mode)) for a model of ``kind``; forward
-    takes an N x ... batch, as ``train_net`` and ``evaluate`` pass it.
-    ``frozen`` is the (video, audio) pair whose outputs a fusion head reads."""
+    takes an N x ... batch, as ``train_net`` and ``evaluate`` pass it, and
+    returns the net's probabilities (``Net.predict``).  ``frozen`` is the
+    (video, audio) pair whose outputs a fusion head reads."""
     if kind == "video":
         return ((lambda rows: trainer.video_features(rows, net.config)),
                 lambda x, mode="eval": video_forward(net, x, mode))
     if kind == "audio":
         return ((lambda rows: trainer.audio_features(rows, net.config)),
                 lambda x, mode="eval": audio_forward(net, x, mode))
-    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.forward
+    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.predict
 
 
 def cmd_train(args) -> int:
@@ -135,9 +136,7 @@ def cmd_train(args) -> int:
         net = build_fusion_head(rng_seed=cfg.rng_seed)
     features, forward = _task(args.model, net, frozen)
     sets = {k: trainer.paired(features(rows), rows) for k, rows in parts.items()}
-    loss_kind = "sigmoid" if args.model == "audio" else "onehot"
-    logs = trainer.train_net(net, sets["train"], sets["val"], cfg,
-                             forward_fn=forward, loss_kind=loss_kind)
+    logs = trainer.train_net(net, sets["train"], sets["val"], cfg, forward_fn=forward)
     if frozen:
         model_io.save_bundle(out, *frozen, net)
     else:
@@ -176,10 +175,11 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     vnet, anet, fnet = model_io.load_bundle(args.model_dir)
-    yv = video_forward(vnet, datamod.video_input(args.video, vnet.config.input_shape))
-    ya = audio_forward(anet, datamod.audio_input(args.audio, anet.config.input_shape[0]))
-    p = fnet.run(np.concatenate([yv, ya]), (FUSION_INPUT_DIM,))
+    # the eval path's features of one row; its label is not read
+    x, = trainer.fusion_features([datamod.ManifestRow(args.video, args.audio, 0)], vnet, anet)
+    p = fnet.run(x, (FUSION_INPUT_DIM,))
     label = int(np.argmax(p))
+    yv, ya = x[:2], x[2:]
     print(f"label: {label} ({'positive' if label == 1 else 'negative'})")
     print(f"y_video: [{yv[0]:.6f}, {yv[1]:.6f}]")
     print(f"y_audio: [{ya[0]:.6f}, {ya[1]:.6f}]")

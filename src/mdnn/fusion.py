@@ -4,8 +4,9 @@ The video and audio output vectors are concatenated (video first) into a
 4-vector that feeds a small two-layer head with a softmax output.  The
 unimodal networks are trained separately and stay frozen while the head is
 trained; binary cross-entropy is the loss for every network in the project.
-Each loss in ``LOSSES`` trains through one output activation, and for both
-pairs the gradient at that activation's input (the logits) is (p - y)/N.
+Each loss in ``LOSSES`` trains nets with one output activation
+(``Net.output``), and for both pairs the gradient at the logits, where
+``Net.backward`` starts, is (p - y)/N.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ def build_fusion_head(rng_seed: int = 0) -> Net:
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
         ("relu", Activation("relu")),
         ("dense2", Dense(FUSION_HIDDEN_DIM, 2)),
-        ("softmax", Activation("softmax_lastdim")),
-    ])
+    ], output="softmax_lastdim")
     net.init_params(rng_seed)
     return net
 
@@ -80,8 +80,8 @@ def sigmoid_bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / p.shape[0])
 
 
-# loss kind -> (loss, the final activation it trains through): "onehot" for
-# softmax heads, "sigmoid" for uncoupled sigmoid outputs
+# loss kind -> (loss, the ``Net.output`` activation of the nets it trains):
+# "onehot" for softmax outputs, "sigmoid" for uncoupled sigmoid outputs
 LOSSES = {
     "onehot": (bce_loss, "softmax_lastdim"),
     "sigmoid": (sigmoid_bce_loss, "sigmoid"),
@@ -91,7 +91,10 @@ LOSSES = {
 def fused_forward(video_net: Net, audio_net: Net, fusion_net: Net,
                   clip: np.ndarray, mfcc: np.ndarray) -> np.ndarray:
     """End-to-end prediction; the unimodal networks act as frozen constants.
-    The head reads [y_video ; y_audio] (``CONCAT_ORDER``)."""
-    fused = np.concatenate([video_forward(video_net, clip), audio_forward(audio_net, mfcc)],
-                           axis=-1)
-    return fusion_net.run(fused, (FUSION_INPUT_DIM,))
+    The head reads [y_video ; y_audio] (``CONCAT_ORDER``).  DimensionError if
+    the clip and MFCC batches have different leading axes."""
+    yv, ya = video_forward(video_net, clip), audio_forward(audio_net, mfcc)
+    if yv.shape[:-1] != ya.shape[:-1]:
+        raise DimensionError(f"video outputs {yv.shape} and audio outputs {ya.shape} "
+                             "differ in their leading (batch) axes")
+    return fusion_net.run(np.concatenate([yv, ya], axis=-1), (FUSION_INPUT_DIM,))

@@ -2,8 +2,11 @@
 
 Every layer, ``Net`` included, is batch-first: ``forward`` takes an N x ...
 batch, ``backward`` the gradient of the whole batch's output, and the
-parameter gradients are summed over the batch.  ``Net.run`` takes any leading
-axes in front of a sample as the batch, so one sample runs as the N=1 batch.
+parameter gradients are summed over the batch.  A ``Net``'s ``forward`` and
+``backward``, the one path of training and inference, run from the input to
+the logits and back; ``Net.predict`` applies the net's output activation
+(softmax or sigmoid) to them, and ``Net.run`` predicts any leading axes in
+front of a sample as the batch, so one sample runs as the N=1 batch.
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
@@ -12,7 +15,8 @@ reference to one of these arrays stays valid for the layer's life.  Each
 backward writes its parameter gradients, overwriting the last call's.  A
 ``Composite`` (a ``Net``, or a residual block inside one) is a layer whose
 ``params`` and ``grads`` are plain dicts, built once, holding its children's
-own arrays under one ordered namespace (the serialization order).  Forward
+own arrays under one ordered namespace (the serialization order); a
+``Conv2Plus1D`` holds its two ``Conv2D`` factors' arrays the same way.  Forward
 passes save whatever the matching backward pass needs; ``backward`` must be
 called in exact reverse order of ``forward``, which ``Net`` guarantees.
 """
@@ -90,12 +94,13 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution over N x C x H x W."""
+    """2-D convolution over [*B,] N x C x H x W; as in ``ops.conv2d``, leading
+    axes are batch axes and ``stride_hw`` overrides the spec's stride per axis."""
 
-    def __init__(self, spec: ConvSpec):
+    def __init__(self, spec: ConvSpec, stride_hw=None):
         wshape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
         super().__init__({"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)}, {"w"})
-        self.spec = spec
+        self.spec, self.stride_hw = spec, stride_hw
 
     def init_params(self, rng):
         s = self.spec
@@ -104,13 +109,14 @@ class Conv2D(Layer):
         self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
-        if x.ndim != 4:
+        if x.ndim < 4:
             raise DimensionError(f"conv2d layer expects N x C x H x W, got shape {x.shape}")
         self._x = x
-        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec)
+        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec, self.stride_hw)
 
     def backward(self, grad_out):
-        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec)
+        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec,
+                                         self.stride_hw)
         self.grads["w"][...] = gw
         self.grads["b"][...] = gb
         return gi
@@ -191,73 +197,51 @@ class Conv2Plus1D(Layer):
     then a 1-D temporal convolution of every pixel (mid -> out channels).
     mid == out, so a 3x3x3 pair with equal channels c stores 9c^2 + 3c^2 =
     12c^2 weights versus 27c^2 for the unfactorized kernel.  Both factors use
-    "same" padding.  Each factor is one ``ops.conv2d`` over the whole batch:
-    the spatial factor over its N*T frames, the temporal factor over its N
+    "same" padding.  Each factor is one ``Conv2D`` over the whole batch: the
+    spatial factor over its N x T frames, the temporal factor over its N
     samples, each a T x (H*W) image whose lowered matrix is the padded image
-    itself (kernel width 1).
+    itself (kernel width 1).  ``params`` and ``grads`` hold the factors' own
+    arrays as ``ws, bs`` (spatial) and ``wt, bt`` (temporal).
     """
 
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_kernel=(3, 3), temporal_kernel=3,
                  spatial_stride=1, temporal_stride=1):
         kh, kw = spatial_kernel
-        super().__init__({
-            "ws": np.zeros((out_channels, in_channels, kh, kw)),
-            "bs": np.zeros(out_channels),
-            "wt": np.zeros((out_channels, out_channels, temporal_kernel, 1)),
-            "bt": np.zeros(out_channels),
-        }, {"ws", "wt"})
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.mid_channels = out_channels
-        self.spatial_kernel = tuple(spatial_kernel)
-        self.temporal_kernel = temporal_kernel
-        self.spatial_stride = spatial_stride
-        self.temporal_stride = temporal_stride
-        self.spatial_spec = ConvSpec(kh, kw, spatial_stride, "same",
-                                     in_channels, self.mid_channels)
-        self.temporal_spec = ConvSpec(temporal_kernel, 1, 1, "same",
-                                      self.mid_channels, out_channels)
+        self.in_channels, self.out_channels, self.mid_channels = (
+            in_channels, out_channels, out_channels)
+        self.spatial_kernel, self.temporal_kernel = tuple(spatial_kernel), temporal_kernel
+        self.spatial = Conv2D(ConvSpec(kh, kw, spatial_stride, "same",
+                                       in_channels, self.mid_channels))
+        self.temporal = Conv2D(ConvSpec(temporal_kernel, 1, 1, "same",
+                                        self.mid_channels, out_channels),
+                               stride_hw=(temporal_stride, 1))
+        factors = (("s", self.spatial), ("t", self.temporal))
+        self.params = {p + f: conv.params[p] for f, conv in factors for p in ("w", "b")}
+        self.grads = {p + f: conv.grads[p] for f, conv in factors for p in ("w", "b")}
+        self.weight_names = {"ws", "wt"}
 
     def init_params(self, rng):
-        kh, kw = self.spatial_kernel
-        p = self.params
-        p["ws"][...] = he_uniform(rng, p["ws"].shape, self.in_channels * kh * kw)
-        p["bs"].fill(0.0)
-        p["wt"][...] = he_uniform(rng, p["wt"].shape, self.mid_channels * self.temporal_kernel)
-        p["bt"].fill(0.0)
+        self.spatial.init_params(rng)
+        self.temporal.init_params(rng)
 
     def forward(self, x, mode="eval"):
         if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise DimensionError(
                 f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
-        self._x = x
         # frames as N x T x C x H x W views; the spatial output is mid-major
-        mid = ops.conv2d(x.transpose(0, 2, 1, 3, 4), self.params["ws"], self.params["bs"],
-                         self.spatial_spec).transpose(0, 2, 1, 3, 4)
+        mid = self.spatial.forward(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
         self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
         n, c, tt, hh, ww = self._act.shape
         # each sample's pixels are the columns of one T x (H'*W') image
-        self._flat = self._act.reshape(n, c, tt, hh * ww)
-        out = ops.conv2d(self._flat, self.params["wt"], self.params["bt"], self.temporal_spec,
-                         stride_hw=(self.temporal_stride, 1))
+        out = self.temporal.forward(self._act.reshape(n, c, tt, hh * ww))
         return out.reshape(n, out.shape[1], out.shape[2], hh, ww)
 
     def backward(self, grad_out):
         n, c, tt, hh, ww = self._act.shape
-        g = grad_out.reshape(grad_out.shape[:3] + (hh * ww,))
-        gflat, gwt, gbt = ops.conv2d_backward(g, self._flat, self.params["wt"],
-                                              self.temporal_spec,
-                                              stride_hw=(self.temporal_stride, 1))
-        self.grads["wt"][...] = gwt
-        self.grads["bt"][...] = gbt
+        gflat = self.temporal.backward(grad_out.reshape(grad_out.shape[:3] + (hh * ww,)))
         gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
-        gx, gws, gbs = ops.conv2d_backward(gmid.transpose(0, 2, 1, 3, 4),
-                                           self._x.transpose(0, 2, 1, 3, 4),
-                                           self.params["ws"], self.spatial_spec)
-        self.grads["ws"][...] = gws
-        self.grads["bs"][...] = gbs
-        return gx.transpose(0, 2, 1, 3, 4)
+        return self.spatial.backward(gmid.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
 
     def factored_weight_count(self) -> int:
         return self.params["ws"].size + self.params["wt"].size
@@ -376,11 +360,18 @@ class Residual2Plus1DBlock(Composite):
 class Net(Composite):
     """Ordered layer stack with a flat, ordered parameter namespace.
 
-    ``forward``/``backward`` run an N x ... batch through every layer once;
-    ``run`` takes one sample or any leading batch axes in front of it.
+    ``forward``/``backward`` run an N x ... batch through every layer once,
+    from the input to the logits and back; ``output`` is the activation kind
+    (``ops.ACTIVATION_KINDS``) ``predict`` applies to the logits, None for
+    none.  ``run`` predicts one sample or any leading batch axes in front of
+    it.
     """
 
     SEP = "/"
+
+    def __init__(self, layers: list[tuple[str, Layer]], output: str | None = None):
+        super().__init__(layers)
+        self.output = output
 
     def init_params(self, seed: int):
         super().init_params(np.random.default_rng(seed))
@@ -408,8 +399,13 @@ class Net(Composite):
             g = layer.backward(g)
         return g
 
+    def predict(self, x, mode="eval"):
+        """``forward``, then the ``output`` activation."""
+        y = self.forward(x, mode)
+        return y if self.output is None else ops.activation(y, self.output)
+
     def run(self, x, sample_shape: tuple, mode="eval"):
-        """Forward an input of shape lead + ``sample_shape`` as one batch of
+        """Predict an input of shape lead + ``sample_shape`` as one batch of
         its samples; the output keeps the leading axes ``lead``, none for
         one sample.  DimensionError if the trailing axes are not
         ``sample_shape``."""
@@ -417,7 +413,7 @@ class Net(Composite):
         lead = x.shape[:max(0, x.ndim - len(sample_shape))]
         if x.shape[len(lead):] != sample_shape:
             raise DimensionError(f"input shape {x.shape} does not end in {sample_shape}")
-        y = self.forward(x.reshape((-1,) + sample_shape), mode)
+        y = self.predict(x.reshape((-1,) + sample_shape), mode)
         return y.reshape(lead + y.shape[1:])
 
     def param_bytes(self) -> bytes:

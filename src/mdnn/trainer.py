@@ -18,7 +18,7 @@ from . import ops
 from .audio_net import AudioNetConfig, audio_forward
 from .errors import ConfigError, TrainingError
 from .fusion import LOSSES
-from .layers import Activation, Net
+from .layers import Net
 from .video_net import VideoNetConfig, video_forward
 
 PROB_CLAMP = 1e-12  # clamp on p for the reported strict-domain BCE only
@@ -236,31 +236,33 @@ def _minibatches(pairs, size: int, order):
 
 
 def train_net(net: Net, train_set, val_set, config: TrainConfig,
-              forward_fn=None, loss_kind: str = "onehot") -> list[EpochLog]:
+              forward_fn=None, loss_kind: str | None = None) -> list[EpochLog]:
     """Optimize ``net`` on (x, onehot-y) pairs; returns the per-epoch log.
 
     ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
-    probabilities and defaults to ``net.forward``.  Each minibatch runs
-    one train-mode forward and one backward through the layers, so the layer
-    caches hold exactly one minibatch and memory grows with ``batch_size``;
-    each epoch ends with ``evaluate`` of that forward on ``val_set``.
-    ``loss_kind`` is "onehot" (BCE over a softmax head) or "sigmoid"
-    (two-sided BCE over uncoupled sigmoid outputs), and ``net`` must end in
-    that activation (else ConfigError).  For both pairs dL/d(logits) is
-    (p - y)/N, so the backward starts below the final activation, from the
-    unclamped output, and a saturated output still learns; ``PROB_CLAMP``
-    applies only to the reported loss.
+    probabilities and defaults to ``net.predict``.  Each minibatch runs one
+    train-mode forward and one ``net.backward``, so the layer caches hold
+    exactly one minibatch and memory grows with ``batch_size``; each epoch
+    ends with ``evaluate`` of that forward on ``val_set``.  ``loss_kind`` is
+    "onehot" (BCE over a softmax output) or "sigmoid" (two-sided BCE over
+    uncoupled sigmoid outputs); it defaults to the one ``LOSSES`` pairs with
+    ``net.output``, and must match it (else ConfigError).  For both pairs
+    dL/d(logits) is (p - y)/N, so the backward starts at the logits, from
+    the unclamped output, and a saturated output still learns;
+    ``PROB_CLAMP`` applies only to the reported loss.
     """
     if not train_set:
         raise ConfigError("empty training set")
+    if loss_kind is None:
+        loss_kind = next((k for k, (_, out) in LOSSES.items() if out == net.output), None)
     if loss_kind not in LOSSES:
-        raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    loss_fn, head_kind = LOSSES[loss_kind]
-    *below_head, (head_name, head) = net.layers
-    if not (isinstance(head, Activation) and head.kind == head_kind):
-        raise ConfigError(f"loss_kind {loss_kind!r} trains through a final {head_kind!r} "
-                          f"activation, but the net ends in layer {head_name!r}")
-    fwd = forward_fn or net.forward
+        raise ConfigError(f"unknown loss_kind {loss_kind!r} for a net with output "
+                          f"{net.output!r}")
+    loss_fn, output = LOSSES[loss_kind]
+    if net.output != output:
+        raise ConfigError(f"loss_kind {loss_kind!r} trains a {output!r} output, "
+                          f"but the net's output is {net.output!r}")
+    fwd = forward_fn or net.predict
     net.reseed_dropout(config.rng_seed + 1)
     shuffle_rng = np.random.default_rng(config.rng_seed + 2)
     state = init_adam_state(net.params)
@@ -271,9 +273,7 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
         n_batches = 0
         for xs, ys in _minibatches(train_set, config.batch_size, order):
             p = fwd(xs, mode="train")
-            grad = (p - ys) / len(ys)
-            for _, layer in reversed(below_head):
-                grad = layer.backward(grad)
+            net.backward((p - ys) / len(ys))
             penalty = reg_penalty(net, config.regularization, config.reg_lambda)
             loss = loss_fn(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP), ys) + penalty
             if not np.isfinite(loss):

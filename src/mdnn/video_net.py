@@ -1,9 +1,10 @@
 """Video classifier: residual stages of (2+1)D factorized convolutions.
 
 Stem convolution, then stages of residual blocks (stride 2 in space and time
-at every stage transition), global average pooling, a 2-unit dense layer and
-a softmax head.  The full-scale channel plan is the classic 64/128/256/512;
-the tiny configs exist for fast tests and gradient checks.
+at every stage transition), global average pooling and a 2-unit dense layer
+to the logits, with a softmax output.  The full-scale channel plan is the
+classic 64/128/256/512; the tiny configs exist for fast tests and gradient
+checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .layers import Activation, Conv2Plus1D, Dense, GlobalAvgPool, Net, Residual2Plus1DBlock
+from .layers import Conv2Plus1D, Dense, GlobalAvgPool, Net, Residual2Plus1DBlock
 from .ops import conv_out_size
 
 
@@ -73,9 +74,8 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int = 0
     layers += [
         ("pool", GlobalAvgPool()),
         ("head", Dense(prev, config.num_classes)),
-        ("softmax", Activation("softmax_lastdim")),
     ]
-    net = Net(layers)
+    net = Net(layers, output="softmax_lastdim")
     net.config = config
     net.init_params(rng_seed)
     return net

@@ -155,6 +155,8 @@ def conv_spatial_strided():
 LAYER_KINDS = {
     "dense": (lambda: Dense(5, 4), (3, 5)),
     "conv2d": (lambda: Conv2D(ConvSpec(3, 3, 2, "same", 2, 3)), (3, 2, 6, 5)),
+    "conv2d_stride_hw": (lambda: Conv2D(ConvSpec(3, 1, 1, "same", 2, 3), stride_hw=(2, 1)),
+                         (3, 2, 5, 4)),
     "conv2plus1d_strided": (conv_spatial_strided, (3, 2, 4, 5, 5)),
     "projection": (lambda: Projection(2, 3, spatial_stride=2, temporal_stride=2),
                    (3, 2, 4, 5, 5)),

@@ -6,7 +6,7 @@ import pytest
 from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_forward,
                             build_audio_net)
-from mdnn.errors import DomainError
+from mdnn.errors import DimensionError, DomainError
 from mdnn.layers import Net
 from mdnn.trainer import TrainConfig, onehot, train_net
 from mdnn.video_net import TINY_VIDEO_CONFIG, build_video_net, video_forward
@@ -44,7 +44,7 @@ class TestConcat:
         head_input = np.concatenate([video_forward(vnet, clip), audio_forward(anet, mfcc)])
         assert fusion.CONCAT_ORDER == ("video", "audio")
         assert np.array_equal(fusion.fused_forward(vnet, anet, fnet, clip, mfcc),
-                              fnet.forward(head_input[None])[0])
+                              fnet.predict(head_input[None])[0])
 
 
 class TestFusionHead:
@@ -151,12 +151,13 @@ class TestLogitGradient:
                                               ("sigmoid", sigmoid_bce_backward)])
     def test_train_net_gradients_equal_chain_rule(self, kind, oracle):
         """One minibatch of ``train_net`` leaves the parameter gradients of
-        the oracle's dL/dp run back through every layer, the head included."""
+        the oracle's dL/dp run back through the net's output activation, then
+        through every layer."""
         rng = np.random.default_rng(4)
         if kind == "onehot":
             build = lambda: fusion.build_fusion_head(rng_seed=0)
             xs = rng.uniform(0.0, 1.0, (6, 4))
-            forward = lambda net: net.forward
+            forward = lambda net: net.predict
         else:
             build = lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=0)
             xs = rng.standard_normal((6,) + GRADCHECK_AUDIO_CONFIG.input_shape)
@@ -171,7 +172,8 @@ class TestLogitGradient:
         net.reseed_dropout(cfg.rng_seed + 1)
         order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
         p = forward(net)(xs[order], mode="train")
-        net.backward(oracle(p, np.stack([train[i][1] for i in order])))
+        dp = oracle(p, np.stack([train[i][1] for i in order]))
+        net.backward(ops.activation_backward(dp, p, net.output))
         for name, g in net.grads.items():
             assert np.abs(trained.grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name
 
@@ -201,3 +203,13 @@ class TestFusedForward:
         assert np.argmax(p) == 0
         assert np.argmax(p_swapped) == 1
         assert np.allclose(p, p_swapped[::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("clips, mfccs", [((3,), ()), ((3,), (2,))],
+                             ids=["batch_and_one", "three_and_two"])
+    def test_mismatched_batches_raise_dimension_error(self, clips, mfccs):
+        vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=1)
+        anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=2)
+        clip = np.zeros(clips + TINY_VIDEO_CONFIG.input_shape)
+        mfcc = np.zeros(mfccs + TINY_AUDIO_CONFIG.input_shape)
+        with pytest.raises(DimensionError, match="leading"):
+            fusion.fused_forward(vnet, anet, self._antisymmetric_head(), clip, mfcc)

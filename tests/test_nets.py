@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from mdnn import ops
+from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                             AudioNetConfig, audio_forward, build_audio_net)
 from mdnn.errors import ConfigError, DimensionError
-from mdnn.layers import Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
+from mdnn.layers import Activation, Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
                             video_forward)
@@ -217,3 +217,20 @@ class TestVideoNet:
         net.jitter(11)
         x = np.random.default_rng(7).random(GRADCHECK_VIDEO_CONFIG.input_shape)
         assert ops.gradient_check(net, x, tolerance=1e-4)["ok"]
+
+
+@pytest.mark.parametrize("build, shape, output", [
+    (lambda: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0), (3, 1, 16, 13), "sigmoid"),
+    (lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=0), (3,) + TINY_VIDEO_CONFIG.input_shape,
+     "softmax_lastdim"),
+    (lambda: fusion.build_fusion_head(rng_seed=0), (3, 4), "softmax_lastdim"),
+], ids=["audio", "video", "fusion"])
+def test_nets_end_at_the_logits(build, shape, output):
+    """The output activation is the net's ``output``, not a layer: ``forward``
+    stops at the logits and ``predict`` applies the activation, bit for bit."""
+    net = build()
+    assert net.output == output
+    assert not any(isinstance(layer, Activation) and layer.kind != "relu"
+                   for _, layer in net.layers)
+    x = np.random.default_rng(3).standard_normal(shape)
+    assert np.array_equal(net.predict(x), ops.activation(net.forward(x), net.output))

@@ -320,9 +320,34 @@ class TestTrainLoop:
     def test_loss_kind_must_match_final_activation(self, build, loss_kind):
         net = build()
         x = np.zeros(net.config.input_shape)
-        with pytest.raises(ConfigError, match="final"):
+        with pytest.raises(ConfigError, match="the net's output is"):
             train_net(net, [(x, onehot(0)), (x, onehot(1))], [], TrainConfig(epochs=1),
                       loss_kind=loss_kind)
+
+    def test_one_net_backward_per_minibatch(self):
+        """Training backpropagates through ``Net.backward``, once a minibatch:
+        10 samples in batches of 4 make 3 minibatches an epoch."""
+        net = fusion.build_fusion_head(rng_seed=0)
+        calls = []
+        backward = net.backward
+        net.backward = lambda g: calls.append(g.shape) or backward(g)
+        train_net(net, random_fusion_set(10, np.random.default_rng(0)), [],
+                  TrainConfig(epochs=2, batch_size=4, rng_seed=0))
+        assert calls == [(4, 2), (4, 2), (2, 2)] * 2
+
+    def test_loss_kind_defaults_to_the_nets_output(self, tmp_path):
+        """Without ``loss_kind`` the sigmoid-output audio net trains on the
+        sigmoid loss, bit for bit as when it is named."""
+        rows = dm.read_manifest(dm.synth_dataset(3, "separable", 0, tmp_path))
+        train = trainer.paired(trainer.audio_features(rows, TINY_AUDIO_CONFIG), rows)
+        runs = []
+        for kind in (None, "sigmoid"):
+            net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
+            logs = train_net(net, train, [], TrainConfig(epochs=2, rng_seed=0),
+                             forward_fn=lambda xs, mode: audio_forward(net, xs, mode),
+                             loss_kind=kind)
+            runs.append(([log.train_loss for log in logs], net.param_bytes()))
+        assert runs[0] == runs[1]
 
     def test_saturated_sigmoid_still_learns(self, tmp_path):
         """An output driven far past saturation (sigmoid(-800) is exactly 0)
