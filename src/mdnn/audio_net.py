@@ -62,7 +62,7 @@ GRADCHECK_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1),
                                         conv_filters=2, dense1_width=8)
 
 
-def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int = 0) -> Net:
+def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | None = 0) -> Net:
     config.validate()
     kh, kw = config.kernel
     f = config.conv_filters

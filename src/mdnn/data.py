@@ -53,10 +53,11 @@ def read_container(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated dims")
     dims = struct.unpack_from(f"<{rank}I", blob, 7) if rank else ()
     count = math.prod(dims)  # a Python int: no wrap-around for huge dims
-    payload = blob[header_end:]
-    if len(payload) != 8 * count:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {8 * count}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if len(blob) - header_end != 8 * count:
+        raise FormatError(f"{path}: payload is {len(blob) - header_end} bytes, "
+                          f"expected {8 * count}")
+    # one copy, from the file's bytes straight into the array
+    values = np.frombuffer(blob, "<f8", count, header_end).astype(np.float64)
     try:
         return values.reshape(dims)
     except ValueError:  # an empty array whose other dims overflow NumPy's size
@@ -128,9 +129,11 @@ def video_input(path, shape: tuple[int, int, int, int]) -> np.ndarray:
 
 def audio_input(path, n_frames: int) -> np.ndarray:
     """A WAV file as an (n_frames, 13, 1) audio network input: the clip cut or
-    padded to the reference length, its MFCC, then uniformly subsampled frames."""
-    feats = dsp.mfcc(preprocess_audio(dsp.load_wav(path)))
-    return feats[uniform_indices(feats.shape[0], n_frames)]
+    padded to the reference length, then the MFCC of ``n_frames`` of its
+    ``dsp.REFERENCE_FRAMES`` frames, picked uniformly; only the picked frames
+    are computed."""
+    clip = preprocess_audio(dsp.load_wav(path))
+    return dsp.mfcc(clip, uniform_indices(dsp.REFERENCE_FRAMES, n_frames))
 
 
 @dataclass(frozen=True)

@@ -97,13 +97,16 @@ def hann_window() -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / WINDOW_LEN))
 
 
-def frame_and_window(clip: AudioClip) -> np.ndarray:
+def frame_and_window(clip: AudioClip, frames=slice(None)) -> np.ndarray:
     """Slice into hopped frames and apply the Hann window -> (n_frames, 1024);
-    (n - 1024) // 256 + 1 frames for n samples."""
+    (n - 1024) // 256 + 1 frames for n samples, or only the ``frames`` (a slice
+    or an index array) selected from the strided frame view before the window."""
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < WINDOW_LEN:
         raise InputError(f"clip of {x.size} samples shorter than one {WINDOW_LEN}-sample window")
-    return sliding_window_view(x, WINDOW_LEN)[::HOP] * _HANN
+    picked = sliding_window_view(x, WINDOW_LEN)[::HOP][frames]
+    # an index array has already copied the frames: window them in place
+    return np.multiply(picked, _HANN, out=picked if picked.flags.owndata else None)
 
 
 def fft_1024(frame: np.ndarray) -> np.ndarray:
@@ -180,10 +183,14 @@ def dct2_ortho(x: np.ndarray) -> np.ndarray:
     return x @ _DCT80.T
 
 
-def mfcc(clip: AudioClip) -> np.ndarray:
-    """Full pipeline -> (n_frames, 13, 1); (778, 13, 1) at the reference length."""
-    power = power_spectrogram(frame_and_window(clip))
+def mfcc(clip: AudioClip, frames=slice(None)) -> np.ndarray:
+    """Full pipeline -> (n_frames, 13, 1); (778, 13, 1) at the reference length.
+    Only the ``frames`` selected as in ``frame_and_window`` go through the FFT,
+    mel, log and DCT.  With OpenBLAS 0.3.31 (Haswell), each row equals its
+    all-frames row bit for bit from 16 frames up; fewer take its small-matrix
+    GEMM kernel, which rounds differently.  The result owns its values, not
+    the 80-wide DCT output."""
+    power = power_spectrogram(frame_and_window(clip, frames))
     mel = power @ _MEL80.T
     logmel = np.log(mel + LOG_FLOOR)
-    coeffs = dct2_ortho(logmel)[:, :N_MFCC]
-    return coeffs[:, :, None]
+    return dct2_ortho(logmel)[:, :N_MFCC, None].copy()

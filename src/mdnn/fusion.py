@@ -23,7 +23,7 @@ FUSION_HIDDEN_DIM = 16
 CONCAT_ORDER = ("video", "audio")
 
 
-def build_fusion_head(rng_seed: int = 0) -> Net:
+def build_fusion_head(rng_seed: int | None = 0) -> Net:
     net = Net([
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
         ("relu", Activation("relu")),

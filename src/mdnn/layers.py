@@ -373,8 +373,11 @@ class Net(Composite):
         super().__init__(layers)
         self.output = output
 
-    def init_params(self, seed: int):
-        super().init_params(np.random.default_rng(seed))
+    def init_params(self, seed: int | None):
+        """He-uniform weights and zero biases drawn from ``seed``; None leaves
+        every parameter as it is (zero in a new net, for ``load_net`` to fill)."""
+        if seed is not None:
+            super().init_params(np.random.default_rng(seed))
 
     def jitter(self, seed: int, scale: float = 0.05):
         """Nudge every parameter off special points (zero biases put ReLU

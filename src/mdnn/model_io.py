@@ -80,9 +80,11 @@ def _arch_mapping(net: Net) -> dict:
 
 
 def _build_from_mapping(m: dict, where) -> Net:
+    """The net a model.txt mapping describes, its parameters left at zero
+    (no random draw) for ``load_net`` to fill."""
     kind = m.get("kind")
     if kind == "fusion":
-        return build_fusion_head(rng_seed=0)
+        return build_fusion_head(rng_seed=None)
     if kind not in _KINDS:
         raise FormatError(f"{where}: unknown model kind {kind!r}")
     cls, build = _KINDS[kind]
@@ -92,7 +94,7 @@ def _build_from_mapping(m: dict, where) -> Net:
             raise FormatError(f"{where}: missing key {f.name!r}")
         kwargs[f.name] = parse_field(f, m[f.name], where)
     try:
-        return build(cls(**kwargs), rng_seed=0)
+        return build(cls(**kwargs), rng_seed=None)
     except (ConfigError, ParameterError) as e:
         raise FormatError(f"{where}: {e}") from None
 

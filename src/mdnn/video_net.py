@@ -59,7 +59,7 @@ GRADCHECK_VIDEO_CONFIG = VideoNetConfig(
     input_shape=(1, 2, 5, 5), stage_channels=(2, 3), blocks_per_stage=1)
 
 
-def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int = 0) -> Net:
+def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | None = 0) -> Net:
     config.validate()
     c_in = config.input_shape[0]
     layers: list = [("stem", Conv2Plus1D(c_in, config.stem_channels))]

@@ -366,6 +366,15 @@ class TestTypedParseErrors:
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert "dense2__b.ntc" in capsys.readouterr().err
 
+    def test_load_draws_no_initialization(self, workspace, monkeypatch):
+        """Loading builds the architecture without a random draw that the
+        files then overwrite; ``load_bundle`` checks each net's parameter
+        hash against the one saved."""
+        def he_uniform(*args):
+            raise AssertionError("load drew an initialization")
+        monkeypatch.setattr("mdnn.layers.he_uniform", he_uniform)
+        assert len(model_io.load_bundle(workspace / "bundle")) == 3
+
     def test_eval_fusion_subdirectory(self, workspace, capsys):
         assert run(["eval", "--model-dir", str(workspace / "bundle" / "fusion"),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2

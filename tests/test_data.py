@@ -1,5 +1,7 @@
 """Container format, preprocessing, manifest, and synthetic generator tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,71 @@ class TestContainer:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError, match="payload"):
             dm.read_container(p)
+
+
+    def test_read_peak_is_about_twice_the_payload(self, tmp_path):
+        """The file's bytes and the array: the payload is not copied a second
+        time on the way."""
+        t = np.random.default_rng(0).standard_normal((512, 1024))  # 4 MiB
+        p = tmp_path / "big.ntc"
+        dm.write_container(p, t)
+        tracemalloc.start()
+        try:
+            back = dm.read_container(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, t)
+        assert peak < 2.1 * t.nbytes
+
+
+class TestAudioInput:
+    """``audio_input`` runs the MFCC on the frames the net reads only; each
+    is the frame of the all-frames MFCC."""
+
+    @pytest.fixture(scope="class", params=[120_000, 260_000], ids=["short", "long"])
+    def wav(self, request, tmp_path_factory):
+        rng = np.random.default_rng(request.param)
+        n = request.param
+        x = 0.4 * np.sin(2 * np.pi * 523.0 * np.arange(n) / 16000) + rng.normal(0, 0.05, n)
+        path = tmp_path_factory.mktemp("wav") / "a.wav"
+        dsp.write_wav(path, dsp.AudioClip(samples=np.clip(x, -1.0, 1.0)))
+        full = dsp.mfcc(dm.preprocess_audio(dsp.load_wav(path)))
+        return path, full
+
+    @pytest.mark.parametrize("n", [16, 389, 777, 778])
+    def test_bitwise_the_subsampled_all_frames_mfcc(self, wav, n):
+        path, full = wav
+        got = dm.audio_input(path, n)
+        assert got.shape == (n, 13, 1)
+        assert got.tobytes() == full[dm.uniform_indices(778, n)].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_few_frames_within_rounding(self, wav, n):
+        """Below 16 rows OpenBLAS runs the mel and DCT products through its
+        small-matrix kernel, which sums in another order: the frames agree to
+        the rounding of the 513-term mel sum, not bit for bit."""
+        path, full = wav
+        ref = full[dm.uniform_indices(778, n)]
+        got = dm.audio_input(path, n)
+        assert got.shape == (n, 13, 1)
+        tol = dsp.N_BINS * np.finfo(np.float64).eps * np.abs(ref).max()
+        assert np.abs(got - ref).max() <= tol
+
+    def test_only_the_read_frames_are_computed(self, wav, monkeypatch):
+        shapes = []
+        power = dsp.power_spectrogram
+        monkeypatch.setattr(dsp, "power_spectrogram",
+                            lambda frames: shapes.append(frames.shape) or power(frames))
+        dm.audio_input(wav[0], 16)
+        assert shapes == [(16, 1024)]
+
+    @pytest.mark.parametrize("n", [1, 16, 778])
+    def test_result_owns_only_its_values(self, wav, n):
+        path, full = wav
+        out = dm.audio_input(path, n)
+        assert out.flags.owndata and out.nbytes == n * 13 * 8
+        assert full.flags.owndata and full.nbytes == 778 * 13 * 8
 
 
 class TestPreprocessAudio:
