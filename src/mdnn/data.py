@@ -131,7 +131,7 @@ def audio_input(path, n_frames: int) -> np.ndarray:
     """A WAV file as an (n_frames, 13, 1) audio network input: the clip cut or
     padded to the reference length, then the MFCC of ``n_frames`` of its
     ``dsp.REFERENCE_FRAMES`` frames, picked uniformly; only the picked frames
-    are computed."""
+    are windowed and transformed."""
     clip = preprocess_audio(dsp.load_wav(path))
     return dsp.mfcc(clip, uniform_indices(dsp.REFERENCE_FRAMES, n_frames))
 

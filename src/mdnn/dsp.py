@@ -104,9 +104,7 @@ def frame_and_window(clip: AudioClip, frames=slice(None)) -> np.ndarray:
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size < WINDOW_LEN:
         raise InputError(f"clip of {x.size} samples shorter than one {WINDOW_LEN}-sample window")
-    picked = sliding_window_view(x, WINDOW_LEN)[::HOP][frames]
-    # an index array has already copied the frames: window them in place
-    return np.multiply(picked, _HANN, out=picked if picked.flags.owndata else None)
+    return sliding_window_view(x, WINDOW_LEN)[::HOP][frames] * _HANN
 
 
 def fft_1024(frame: np.ndarray) -> np.ndarray:
@@ -185,12 +183,15 @@ def dct2_ortho(x: np.ndarray) -> np.ndarray:
 
 def mfcc(clip: AudioClip, frames=slice(None)) -> np.ndarray:
     """Full pipeline -> (n_frames, 13, 1); (778, 13, 1) at the reference length.
-    Only the ``frames`` selected as in ``frame_and_window`` go through the FFT,
-    mel, log and DCT.  With OpenBLAS 0.3.31 (Haswell), each row equals its
-    all-frames row bit for bit from 16 frames up; fewer take its small-matrix
-    GEMM kernel, which rounds differently.  The result owns its values, not
-    the 80-wide DCT output."""
-    power = power_spectrogram(frame_and_window(clip, frames))
+    Only the ``frames`` selected as in ``frame_and_window`` go through the FFT.
+    Their power spectra sit in their own rows of an all-frames matrix, zero
+    elsewhere, so the mel and DCT products keep the all-frames shape.  A BLAS
+    picks its kernel and summation order by shape and thread count, not by
+    values, so each selected frame equals its all-frames row bit for bit.
+    The result owns its values, not the 80-wide DCT output."""
+    picked = power_spectrogram(frame_and_window(clip, frames))
+    power = np.zeros(((np.size(clip.samples) - WINDOW_LEN) // HOP + 1, N_BINS))
+    power[frames] = picked
     mel = power @ _MEL80.T
     logmel = np.log(mel + LOG_FLOOR)
-    return dct2_ortho(logmel)[:, :N_MFCC, None].copy()
+    return dct2_ortho(logmel)[frames, :N_MFCC, None].copy()
