@@ -28,37 +28,21 @@ from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                         VideoNetConfig, build_video_net, param_count,
                         video_forward)
 
-TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
-
-
 def _read_config_file(path) -> dict:
-    out = {}
-    for lineno, line in enumerate(datamod.read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value")
-        k, v = (s.strip() for s in line.split("=", 1))
-        if k not in TRAIN_FIELDS:
-            raise FormatError(f"{path}:{lineno}: unknown key {k!r}")
-        out[k] = model_io.parse_field(TRAIN_FIELDS[k], v, f"{path}:{lineno}")
-    return out
+    return model_io.parse_fields(dataclasses.fields(TrainConfig), model_io.read_kv(path), path)
 
 
 def _train_config(args) -> TrainConfig:
     """Config file values, overridden by explicit flags, over the defaults."""
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in TRAIN_FIELDS:
-        flag = getattr(args, key, None)
+    values = _read_config_file(args.config) if args.config else {}
+    fields = dataclasses.fields(TrainConfig)
+    for f in fields:
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[key] = flag
+            values[f.name] = flag
     cfg = TrainConfig(**values)
-    print("resolved config: " + " ".join(
-        f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)),
-        file=sys.stderr)
+    print("resolved config: " + " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields),
+          file=sys.stderr)
     return cfg
 
 
@@ -282,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("gradcheck", help="finite-difference gradient check")
     s.add_argument("--model", choices=["audio", "video", "fusion"], required=True)
-    s.add_argument("--tiny", action="store_true",
-                   help="accepted for symmetry; gradcheck always uses small models")
     s.set_defaults(fn=cmd_gradcheck)
     return p
 
@@ -292,9 +274,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code == 0 else 1
-    try:
         if args.fn is cmd_train and args.model == "fusion" and not (
                 args.video_dir and args.audio_dir):
             parser.error("fusion training requires --video-dir and --audio-dir")

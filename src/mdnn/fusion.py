@@ -33,19 +33,6 @@ def build_fusion_head(rng_seed: int | None = 0) -> Net:
     return net
 
 
-def _check_probs(p: np.ndarray):
-    if not np.all(np.isfinite(p)):
-        raise DomainError("probabilities must be finite")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DomainError("probabilities must lie strictly inside (0, 1); "
-                          "clamp explicitly before calling if needed")
-
-
-def _check_onehot(y: np.ndarray):
-    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0):
-        raise DomainError("labels must be one-hot rows over 2 classes")
-
-
 def _checked_batch(p, y) -> tuple[np.ndarray, np.ndarray]:
     """The shape and domain check every loss in LOSSES applies: matching
     (N, 2) batches, probabilities strictly inside (0, 1), one-hot labels."""
@@ -53,8 +40,13 @@ def _checked_batch(p, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if p.shape != y.shape or p.shape[-1] != 2:
         raise DimensionError(f"p and y must be matching (N, 2) batches, got {p.shape}, {y.shape}")
-    _check_probs(p)
-    _check_onehot(y)
+    if not np.all(np.isfinite(p)):
+        raise DomainError("probabilities must be finite")
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise DomainError("probabilities must lie strictly inside (0, 1); "
+                          "clamp explicitly before calling if needed")
+    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0):
+        raise DomainError("labels must be one-hot rows over 2 classes")
     return p, y
 
 

@@ -38,17 +38,23 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class Layer:
     """Base layer: parameter dict, gradient dict, weight/bias distinction.
 
-    ``params`` and one gradient per parameter are allocated here, once;
-    ``weight_names`` are the regularized params (biases excluded).
+    ``params`` and one gradient per parameter are allocated here, once.  A
+    layer with parameters has a weight ``w`` over ``fan_in`` inputs per
+    output and a bias ``b``; ``weight_names`` are the regularized params
+    (biases excluded).
     """
 
-    def __init__(self, params: dict[str, np.ndarray] | None = None, weight_names=()):
+    def __init__(self, params: dict[str, np.ndarray] | None = None, fan_in: int = 0):
         self.params = params or {}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.weight_names = set(weight_names)
+        self.weight_names = {"w"} & self.params.keys()
+        self.fan_in = fan_in
 
     def init_params(self, rng: np.random.Generator):
-        pass
+        """He-uniform ``w`` over ``fan_in`` and zero ``b``, for a layer that has them."""
+        if "w" in self.params:
+            self.params["w"][...] = he_uniform(rng, self.params["w"].shape, self.fan_in)
+            self.params["b"].fill(0.0)
 
     def full3d_weight_count(self) -> int:
         """Weights with every (2+1)D factor pair counted as its full 3-D kernel."""
@@ -71,12 +77,8 @@ class Dense(Layer):
     """
 
     def __init__(self, in_dim: int, out_dim: int):
-        super().__init__({"w": np.zeros((in_dim, out_dim)), "b": np.zeros(out_dim)}, {"w"})
+        super().__init__({"w": np.zeros((in_dim, out_dim)), "b": np.zeros(out_dim)}, in_dim)
         self.in_dim, self.out_dim = in_dim, out_dim
-
-    def init_params(self, rng):
-        self.params["w"][...] = he_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
-        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -99,14 +101,9 @@ class Conv2D(Layer):
 
     def __init__(self, spec: ConvSpec, stride_hw=None):
         wshape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        super().__init__({"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)}, {"w"})
+        super().__init__({"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)},
+                         spec.in_channels * spec.kernel_h * spec.kernel_w)
         self.spec, self.stride_hw = spec, stride_hw
-
-    def init_params(self, rng):
-        s = self.spec
-        fan_in = s.in_channels * s.kernel_h * s.kernel_w
-        self.params["w"][...] = he_uniform(rng, self.params["w"].shape, fan_in)
-        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         if x.ndim < 4:
@@ -155,10 +152,9 @@ class Dropout(Layer):
         self.rng = np.random.default_rng(seed)
 
     def forward(self, x, mode="eval"):
-        if mode == "train" and self.rate > 0.0:
-            self._mask = ops.dropout_mask(x.shape, self.rate, self.rng)
-        else:
-            self._mask = None
+        self._mask = None
+        if mode == "train" and self.rate > 0.0:  # 0 with probability rate, else 1/(1-rate)
+            self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x if self._mask is None else x * self._mask
 
     def backward(self, grad_out):
@@ -182,7 +178,7 @@ class GlobalAvgPool(Layer):
     def forward(self, x, mode="eval"):
         self._shape = x.shape
         n, c = x.shape[:2]
-        return ops.global_avg_pool(x.reshape(n * c, -1)).reshape(n, c)
+        return x.reshape(n * c, -1).mean(axis=1).reshape(n, c)
 
     def backward(self, grad_out):
         count = int(np.prod(self._shape[2:]))
@@ -195,7 +191,8 @@ class Conv2Plus1D(Layer):
 
     A 2-D spatial convolution of every frame (in -> mid channels), a ReLU,
     then a 1-D temporal convolution of every pixel (mid -> out channels).
-    mid == out, so a 3x3x3 pair with equal channels c stores 9c^2 + 3c^2 =
+    The kernels are 3x3 (``spatial_kernel``) and 3 (``temporal_kernel``), and
+    mid == out, so a pair with equal channels c stores 9c^2 + 3c^2 =
     12c^2 weights versus 27c^2 for the unfactorized kernel.  Both factors use
     "same" padding.  Each factor is one ``Conv2D`` over the whole batch: the
     spatial factor over its N x T frames, the temporal factor over its N
@@ -204,16 +201,15 @@ class Conv2Plus1D(Layer):
     arrays as ``ws, bs`` (spatial) and ``wt, bt`` (temporal).
     """
 
+    spatial_kernel, temporal_kernel = (3, 3), 3
+
     def __init__(self, in_channels: int, out_channels: int,
-                 spatial_kernel=(3, 3), temporal_kernel=3,
                  spatial_stride=1, temporal_stride=1):
-        kh, kw = spatial_kernel
         self.in_channels, self.out_channels, self.mid_channels = (
             in_channels, out_channels, out_channels)
-        self.spatial_kernel, self.temporal_kernel = tuple(spatial_kernel), temporal_kernel
-        self.spatial = Conv2D(ConvSpec(kh, kw, spatial_stride, "same",
+        self.spatial = Conv2D(ConvSpec(*self.spatial_kernel, spatial_stride, "same",
                                        in_channels, self.mid_channels))
-        self.temporal = Conv2D(ConvSpec(temporal_kernel, 1, 1, "same",
+        self.temporal = Conv2D(ConvSpec(self.temporal_kernel, 1, 1, "same",
                                         self.mid_channels, out_channels),
                                stride_hw=(temporal_stride, 1))
         factors = (("s", self.spatial), ("t", self.temporal))
@@ -257,14 +253,9 @@ class Projection(Layer):
     def __init__(self, in_channels: int, out_channels: int,
                  spatial_stride=1, temporal_stride=1):
         super().__init__({"w": np.zeros((out_channels, in_channels)),
-                          "b": np.zeros(out_channels)}, {"w"})
+                          "b": np.zeros(out_channels)}, in_channels)
         self.in_channels, self.out_channels = in_channels, out_channels
         self.spatial_stride, self.temporal_stride = spatial_stride, temporal_stride
-
-    def init_params(self, rng):
-        self.params["w"][...] = he_uniform(rng, (self.out_channels, self.in_channels),
-                                           self.in_channels)
-        self.params["b"].fill(0.0)
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
@@ -379,12 +370,12 @@ class Net(Composite):
         if seed is not None:
             super().init_params(np.random.default_rng(seed))
 
-    def jitter(self, seed: int, scale: float = 0.05):
+    def jitter(self, seed: int):
         """Nudge every parameter off special points (zero biases put ReLU
         pre-activations exactly on the kink, which breaks finite differences)."""
         rng = np.random.default_rng(seed)
         for p in self.params.values():
-            p += rng.normal(0.0, scale, p.shape)
+            p += rng.normal(0.0, 0.05, p.shape)
 
     def reseed_dropout(self, seed: int):
         for i, (_, layer) in enumerate(self.layers):

@@ -5,7 +5,8 @@ lines), ``params.txt`` (parameter names in serialization order) and one
 ``.ntc`` file per parameter.  A fusion bundle is a directory with the three
 model subdirectories and ``bundle.txt`` recording the concatenation order and
 a SHA-256 of each sub-model's parameter bytes, so frozen-sub-model integrity
-is checkable at load time.
+is checkable at load time.  ``read_kv`` reads every key=value file of the
+program, training config files included.
 """
 
 from __future__ import annotations
@@ -30,39 +31,53 @@ def _kv_write(path, mapping: dict):
             f.write(f"{k}={v}\n")
 
 
-def _kv_read(path) -> dict:
+def read_kv(path) -> dict[str, tuple[str, int]]:
+    """key -> (value, line number) of each key=value line of the text file
+    ``path``, both sides stripped; blank lines and ``#`` comments are skipped.
+    A line without ``=``, or a key given twice, is a FormatError naming the
+    line (and the first, for a repeat).  The one reader of ``model.txt``,
+    ``bundle.txt`` and training config files."""
     out = {}
-    for line in read_text(path).splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"{path}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in out:
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {out[key][1]}")
+        out[key] = value, lineno
     return out
 
 
-def _format_field(value) -> str:
-    """A config field value as model.txt and config files spell it."""
-    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-def parse_field(field: dataclasses.Field, text: str, where) -> object:
-    """Parse ``text`` as the type of ``field``'s default: a tuple default reads
-    as x-joined ints, any other as its own type (int, float or str)."""
-    try:
-        if isinstance(field.default, tuple):
-            return tuple(int(p) for p in text.split("x"))
-        return type(field.default)(text)
-    except ValueError:
-        raise FormatError(f"{where}: {field.name}={text!r} is not a valid "
-                          f"{type(field.default).__name__}") from None
+def parse_fields(fields, lines: dict, path) -> dict:
+    """The values of ``read_kv(path)``'s ``lines`` as the dataclass
+    ``fields``, each of the type of its default: a tuple default reads as
+    x-joined ints, any other as its own type (int, float or str).  A key that
+    is not one of the fields, or a value of the wrong type, is a FormatError
+    naming its line."""
+    fields = {f.name: f for f in fields}
+    out = {}
+    for key, (text, lineno) in lines.items():
+        field, where = fields.get(key), f"{path}:{lineno}"
+        if field is None:
+            raise FormatError(f"{where}: unknown key {key!r}")
+        try:
+            if isinstance(field.default, tuple):
+                out[key] = tuple(int(p) for p in text.split("x"))
+            else:
+                out[key] = type(field.default)(text)
+        except ValueError:
+            raise FormatError(f"{where}: {key}={text!r} is not a valid "
+                              f"{type(field.default).__name__}") from None
+    return out
 
 
 # model kind -> (config dataclass, builder); a net without a config is a fusion head
 _KINDS = {"audio": (AudioNetConfig, build_audio_net),
           "video": (VideoNetConfig, build_video_net)}
+_PARTS = ("video", "audio", "fusion")  # a bundle's model subdirectories
 
 
 def model_kind(net: Net) -> str:
@@ -73,30 +88,30 @@ def model_kind(net: Net) -> str:
 def _arch_mapping(net: Net) -> dict:
     out = {"kind": model_kind(net)}
     cfg = getattr(net, "config", None)
-    if cfg is not None:
-        out.update((f.name, _format_field(getattr(cfg, f.name)))
-                   for f in dataclasses.fields(cfg))
+    for f in dataclasses.fields(cfg) if cfg is not None else ():
+        value = getattr(cfg, f.name)  # a tuple as x-joined ints, as parse_fields reads it
+        out[f.name] = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
     return out
 
 
-def _build_from_mapping(m: dict, where) -> Net:
-    """The net a model.txt mapping describes, its parameters left at zero
-    (no random draw) for ``load_net`` to fill."""
-    kind = m.get("kind")
+def _build_from_lines(lines: dict, path) -> Net:
+    """The net a model.txt's ``read_kv`` lines describe, its parameters left
+    at zero (no random draw) for ``load_net`` to fill."""
+    kind = lines.pop("kind", (None,))[0]
     if kind == "fusion":
+        parse_fields((), lines, path)  # a fusion head has no other key
         return build_fusion_head(rng_seed=None)
     if kind not in _KINDS:
-        raise FormatError(f"{where}: unknown model kind {kind!r}")
+        raise FormatError(f"{path}: unknown model kind {kind!r}")
     cls, build = _KINDS[kind]
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in m:
-            raise FormatError(f"{where}: missing key {f.name!r}")
-        kwargs[f.name] = parse_field(f, m[f.name], where)
+    kwargs = parse_fields(dataclasses.fields(cls), lines, path)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs]
+    if missing:
+        raise FormatError(f"{path}: missing key {missing[0]!r}")
     try:
         return build(cls(**kwargs), rng_seed=None)
     except (ConfigError, ParameterError) as e:
-        raise FormatError(f"{where}: {e}") from None
+        raise FormatError(f"{path}: {e}") from None
 
 
 def _param_filename(name: str) -> str:
@@ -124,7 +139,8 @@ def save_net(directory, net: Net):
 
 def load_net(directory) -> Net:
     directory = Path(directory)
-    net = _build_from_mapping(_kv_read(directory / "model.txt"), directory / "model.txt")
+    path = directory / "model.txt"
+    net = _build_from_lines(read_kv(path), path)
     names = read_text(directory / "params.txt").split()
     if names != list(net.params):
         raise FormatError(f"{directory}: parameter list does not match architecture")
@@ -142,27 +158,22 @@ def load_net(directory) -> Net:
 
 def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_net(directory / "video", video_net)
-    save_net(directory / "audio", audio_net)
-    save_net(directory / "fusion", fusion_net)
-    _kv_write(directory / "bundle.txt", {
-        "concat_order": ",".join(CONCAT_ORDER),
-        "video_sha256": param_sha256(video_net),
-        "audio_sha256": param_sha256(audio_net),
-        "fusion_sha256": param_sha256(fusion_net),
-    })
+    nets = dict(zip(_PARTS, (video_net, audio_net, fusion_net)))
+    for part, net in nets.items():
+        save_net(directory / part, net)
+    _kv_write(directory / "bundle.txt", {"concat_order": ",".join(CONCAT_ORDER)}
+              | {f"{part}_sha256": param_sha256(net) for part, net in nets.items()})
 
 
 def load_bundle(directory):
     directory = Path(directory)
-    meta = _kv_read(directory / "bundle.txt")
+    meta = {key: value for key, (value, _) in read_kv(directory / "bundle.txt").items()}
     if meta.get("concat_order") != ",".join(CONCAT_ORDER):
         raise FormatError(f"{directory}: unexpected concat order {meta.get('concat_order')!r}")
     nets = {}
-    for part in ("video", "audio", "fusion"):
+    for part in _PARTS:
         nets[part] = load_net(directory / part)
         digest = param_sha256(nets[part])
         if digest != meta.get(f"{part}_sha256"):
             raise FormatError(f"{directory}: {part} parameter hash mismatch")
-    return nets["video"], nets["audio"], nets["fusion"]
+    return tuple(nets.values())

@@ -85,7 +85,11 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: str) -> int:
     return (padded - kernel) // stride + 1
 
 
-def _check_conv_shapes(x, w, b, spec: ConvSpec):
+def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec,
+              stride_hw):
+    """(sh, sw, ph, pw, out_hw) of the convolution of x[*B, C, H, W] by the
+    weights ``w`` and the bias ``b`` (None for none), after checking that
+    their shapes fit ``spec``."""
     if x.ndim < 3:
         raise DimensionError(f"conv2d input must be [batch x] C x H x W, got shape {x.shape}")
     if w.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
@@ -97,21 +101,10 @@ def _check_conv_shapes(x, w, b, spec: ConvSpec):
         raise DimensionError(f"bias shape {b.shape} != ({spec.out_channels},)")
     if x.shape[-3] != spec.in_channels:
         raise DimensionError(f"input has {x.shape[-3]} channels, spec expects {spec.in_channels}")
-
-
-def _geometry(x: np.ndarray, spec: ConvSpec, stride_hw):
-    """(sh, sw, ph, pw, out_hw) of the convolution of x[*B, C, H, W]."""
     sh, sw = stride_hw if stride_hw is not None else (spec.stride, spec.stride)
-    h, w = x.shape[-2:]
-    ph = _pad_amounts(h, spec.kernel_h, sh, spec.padding)
-    pw = _pad_amounts(w, spec.kernel_w, sw, spec.padding)
-    if h + sum(ph) < spec.kernel_h or w + sum(pw) < spec.kernel_w:
-        raise DimensionError(
-            f"kernel ({spec.kernel_h}, {spec.kernel_w}) larger than padded input "
-            f"{(h + sum(ph), w + sum(pw))}"
-        )
-    out_hw = ((h + sum(ph) - spec.kernel_h) // sh + 1, (w + sum(pw) - spec.kernel_w) // sw + 1)
-    return sh, sw, ph, pw, out_hw
+    axes = ((x.shape[-2], spec.kernel_h, sh), (x.shape[-1], spec.kernel_w, sw))
+    ph, pw = (_pad_amounts(*axis, spec.padding) for axis in axes)
+    return sh, sw, ph, pw, tuple(conv_out_size(*axis, spec.padding) for axis in axes)
 
 
 def _taps(size: int, k: int, stride: int, pad0: int, out: int):
@@ -169,8 +162,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     """
     x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
-    _check_conv_shapes(x, weights, bias, spec)
-    geometry = _geometry(x, spec, stride_hw)
+    geometry = _geometry(x, weights, bias, spec, stride_hw)
     sh, (out_h, out_w) = geometry[0], geometry[4]
     co = spec.out_channels
     out = np.empty((*x.shape[:-3], co, out_h * out_w))  # before the scratch it outlives
@@ -190,10 +182,9 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     """Nested-loop reference convolution; the permanent in-repo oracle."""
     x, weights = as_f64(x), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
-    _check_conv_shapes(x, weights, bias, spec)
+    sh, sw, ph, pw, (out_h, out_w) = _geometry(x, weights, bias, spec, stride_hw)
     if x.ndim > 3:  # one image at a time
         return np.stack([conv2d_direct(xi, weights, bias, spec, stride_hw) for xi in x])
-    sh, sw, ph, pw, (out_h, out_w) = _geometry(x, spec, stride_hw)
     xp = np.pad(x, ((0, 0), ph, pw))
     out = np.zeros((spec.out_channels, out_h, out_w))
     for co in range(spec.out_channels):
@@ -221,8 +212,7 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x, weights = np.asarray(saved_input, dtype=np.float64), as_f64(weights)
-    _check_conv_shapes(x, weights, None, spec)
-    geometry = _geometry(x, spec, stride_hw)
+    geometry = _geometry(x, weights, None, spec, stride_hw)
     sh, (out_h, out_w) = geometry[0], geometry[4]
     *batch, c, h, w = x.shape
     co, kh, kw = spec.out_channels, spec.kernel_h, spec.kernel_w
@@ -280,24 +270,6 @@ def activation_backward(grad_out: np.ndarray, saved_output: np.ndarray,
         dot = (grad_out * y).sum(axis=-1, keepdims=True)
         return y * (grad_out - dot)
     raise ParameterError(f"unknown activation kind {kind!r}")
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 with probability rate, else 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Per-channel mean over every non-channel axis of x[C, ...]."""
-    x = as_f64(x)
-    if x.ndim < 2:
-        raise DimensionError(f"global_avg_pool needs at least 2 axes, got shape {x.shape}")
-    return x.reshape(x.shape[0], -1).mean(axis=1)
 
 
 def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-5,

@@ -57,9 +57,11 @@ class TrainConfig:
             raise ConfigError(f"unknown regularization {self.regularization!r}")
 
 
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
 
 
@@ -69,8 +71,8 @@ def split_dataset(n_items: int, spec: SplitSpec = SplitSpec()):
         raise ConfigError(f"need at least 3 items to split, got {n_items}")
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(n_items)
-    n_train = math.floor(spec.fractions[0] * n_items)
-    n_val = math.floor(spec.fractions[1] * n_items)
+    n_train = math.floor(SPLIT_FRACTIONS[0] * n_items)
+    n_val = math.floor(SPLIT_FRACTIONS[1] * n_items)
     return (order[:n_train].tolist(),
             order[n_train:n_train + n_val].tolist(),
             order[n_train + n_val:].tolist())

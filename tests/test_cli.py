@@ -246,6 +246,11 @@ class TestDiagnostics:
         assert run(["gradcheck", "--model", "fusion"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_gradcheck_has_no_tiny_flag(self, capsys):
+        """gradcheck always runs its own small models; it takes no --tiny."""
+        assert run(["gradcheck", "--model", "video", "--tiny"]) == 1
+        assert "--tiny" in capsys.readouterr().err
+
 
 class TestTypedParseErrors:
     """Malformed or unreadable input files end as a data/format error, exit 2."""
@@ -285,6 +290,60 @@ class TestTypedParseErrors:
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert "model.txt" in capsys.readouterr().err
+
+    def test_unknown_model_txt_key(self, workspace, tmp_path, capsys):
+        """A key that is not in the model's architecture (here a misspelt
+        one) is refused, naming its line, and not ignored."""
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        text = (model / "model.txt").read_text()
+        (model / "model.txt").write_text(text + "dense1_widht=8\n")
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model / 'model.txt'}:{len(text.splitlines()) + 1}: unknown key" in err
+        assert "dense1_widht" in err
+
+    def test_malformed_model_txt_line_names_its_line(self, workspace, tmp_path, capsys):
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        text = (model / "model.txt").read_text()
+        (model / "model.txt").write_text(text.replace("kernel=3x3", "kernel 3x3"))
+        lineno = text.splitlines().index("kernel=3x3") + 1
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert f"{model / 'model.txt'}:{lineno}: expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, key, value", [
+        ("train.cfg", "epochs", "3"),
+        ("audio/model.txt", "dense1_width", None),
+        ("bundle/bundle.txt", "video_sha256", None),
+    ], ids=["config_file", "model_txt", "bundle_txt"])
+    def test_repeated_key(self, workspace, tmp_path, capsys, target, key, value):
+        """A key given twice is refused, naming both lines, instead of the
+        last one winning; even a repeat of the same value (None) is."""
+        for part in ("audio", "bundle"):
+            shutil.copytree(workspace / part, tmp_path / part)
+        (tmp_path / "train.cfg").write_text("epochs=1\nbatch_size=4\n")
+        path = tmp_path / target
+        lines = path.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith(key + "="))
+        repeat = lines[first] if value is None else f"{key}={value}"
+        path.write_text("\n".join(lines + [repeat]) + "\n")
+        manifest = str(workspace / "data" / "manifest.csv")
+        row = dm.read_manifest(manifest)[0]
+        argv = {
+            "train.cfg": ["train", "--model", "audio", "--tiny", "--data", manifest,
+                          "--config", str(path), "--out", str(tmp_path / "o")],
+            "audio/model.txt": ["eval", "--model-dir", str(tmp_path / "audio"),
+                                "--data", manifest],
+            "bundle/bundle.txt": ["predict", "--model-dir", str(tmp_path / "bundle"),
+                                  "--video", row.video_path, "--audio", row.audio_path],
+        }[target]
+        assert run(argv) == 2
+        assert (f"{path}:{len(lines) + 1}: key {key!r} repeats line {first + 1}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("part, edit, named", [
         ("audio", lambda d: dm.write_container(d / "dense2__b.ntc", np.zeros(3)),

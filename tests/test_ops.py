@@ -197,12 +197,14 @@ class TestDropout:
 
 
 class TestGlobalAvgPool:
+    """The layer on one C x ... sample, the N=1 batch ``x[None]``."""
+
     def test_constant(self):
-        assert np.allclose(ops.global_avg_pool(np.full((3, 2, 4, 4), 7.5)), 7.5)
+        assert np.allclose(GlobalAvgPool().forward(np.full((3, 2, 4, 4), 7.5)[None])[0], 7.5)
 
     def test_singleton_spatial(self):
         x = np.arange(5.0).reshape(5, 1, 1, 1)
-        assert np.array_equal(ops.global_avg_pool(x), np.arange(5.0))
+        assert np.array_equal(GlobalAvgPool().forward(x[None])[0], np.arange(5.0))
 
     def test_vs_loop_sum(self):
         rng = np.random.default_rng(9)
@@ -216,7 +218,7 @@ class TestGlobalAvgPool:
                         acc += x[c, t, i, j]
                         n += 1
             expect[c] = acc / n
-        assert np.abs(ops.global_avg_pool(x) - expect).max() < 1e-12
+        assert np.abs(GlobalAvgPool().forward(x[None])[0] - expect).max() < 1e-12
 
 
 class TestGradientCheck:
