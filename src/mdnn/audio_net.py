@@ -67,9 +67,9 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
     kh, kw = config.kernel
     f = config.conv_filters
     net = Net([
-        ("conv1", Conv2D(ConvSpec(kh, kw, 1, "valid", 1, f))),
+        ("conv1", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", 1, f))),
         ("relu1", Activation("relu")),
-        ("conv2", Conv2D(ConvSpec(kh, kw, 1, "valid", f, f))),
+        ("conv2", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", f, f))),
         ("relu2", Activation("relu")),
         ("flatten", Flatten()),
         ("dropout", Dropout(config.dropout_rate)),

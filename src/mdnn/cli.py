@@ -21,7 +21,7 @@ from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                         AudioNetConfig, audio_forward, build_audio_net)
 from .errors import (ConfigError, DomainError, FormatError, GradientCheckError,
                      InputError, MdnnError, TrainingError)
-from .fusion import FUSION_INPUT_DIM, build_fusion_head
+from .fusion import CONCAT_ORDER, FUSION_INPUT_DIM, build_fusion_head
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
     elif args.model == "audio":
         net = build_audio_net(audio_cfg, rng_seed=cfg.rng_seed)
     else:
-        frozen = (model_io.load_net(args.video_dir), model_io.load_net(args.audio_dir))
+        frozen = tuple(map(model_io.load_part, (args.video_dir, args.audio_dir), CONCAT_ORDER))
         net = build_fusion_head(rng_seed=cfg.rng_seed)
     features, forward = _task(args.model, net, frozen)
     sets = {k: trainer.paired(features(rows), rows) for k, rows in parts.items()}

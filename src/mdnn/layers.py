@@ -96,24 +96,22 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution over [*B,] N x C x H x W; as in ``ops.conv2d``, leading
-    axes are batch axes and ``stride_hw`` overrides the spec's stride per axis."""
+    """2-D convolution over [*B,] N x C x H x W; leading axes are batch axes (``ops.conv2d``)."""
 
-    def __init__(self, spec: ConvSpec, stride_hw=None):
+    def __init__(self, spec: ConvSpec):
         wshape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
         super().__init__({"w": np.zeros(wshape), "b": np.zeros(spec.out_channels)},
                          spec.in_channels * spec.kernel_h * spec.kernel_w)
-        self.spec, self.stride_hw = spec, stride_hw
+        self.spec = spec
 
     def forward(self, x, mode="eval"):
         if x.ndim < 4:
             raise DimensionError(f"conv2d layer expects N x C x H x W, got shape {x.shape}")
         self._x = x
-        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec, self.stride_hw)
+        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec)
 
     def backward(self, grad_out):
-        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec,
-                                         self.stride_hw)
+        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec)
         self.grads["w"][...] = gw
         self.grads["b"][...] = gb
         return gi
@@ -189,29 +187,27 @@ class GlobalAvgPool(Layer):
 class Conv2Plus1D(Layer):
     """Factorized space-time convolution on N x C x T x H x W.
 
-    A 2-D spatial convolution of every frame (in -> mid channels), a ReLU,
-    then a 1-D temporal convolution of every pixel (mid -> out channels).
-    The kernels are 3x3 (``spatial_kernel``) and 3 (``temporal_kernel``), and
-    mid == out, so a pair with equal channels c stores 9c^2 + 3c^2 =
-    12c^2 weights versus 27c^2 for the unfactorized kernel.  Both factors use
-    "same" padding.  Each factor is one ``Conv2D`` over the whole batch: the
-    spatial factor over its N x T frames, the temporal factor over its N
-    samples, each a T x (H*W) image whose lowered matrix is the padded image
-    itself (kernel width 1).  ``params`` and ``grads`` hold the factors' own
-    arrays as ``ws, bs`` (spatial) and ``wt, bt`` (temporal).
+    A 2-D spatial convolution of every frame (in -> out channels), a ReLU,
+    then a 1-D temporal convolution of every pixel (out -> out channels); the
+    pair strides T, H and W by ``stride``.  The kernels are 3x3
+    (``spatial_kernel``) and 3 (``temporal_kernel``), so a pair with equal
+    channels c stores 9c^2 + 3c^2 = 12c^2 weights versus 27c^2 for the
+    unfactorized kernel.  Both factors use "same" padding.  Each factor is
+    one ``Conv2D`` over the whole batch: the spatial factor over its N x T
+    frames, the temporal factor over its N samples, each a T x (H*W) image
+    whose lowered matrix is the padded image itself (kernel width 1).
+    ``params`` and ``grads`` hold the factors' own arrays as ``ws, bs``
+    (spatial) and ``wt, bt`` (temporal).
     """
 
     spatial_kernel, temporal_kernel = (3, 3), 3
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 spatial_stride=1, temporal_stride=1):
-        self.in_channels, self.out_channels, self.mid_channels = (
-            in_channels, out_channels, out_channels)
-        self.spatial = Conv2D(ConvSpec(*self.spatial_kernel, spatial_stride, "same",
-                                       in_channels, self.mid_channels))
-        self.temporal = Conv2D(ConvSpec(self.temporal_kernel, 1, 1, "same",
-                                        self.mid_channels, out_channels),
-                               stride_hw=(temporal_stride, 1))
+    def __init__(self, in_channels: int, out_channels: int, stride=1):
+        self.in_channels, self.out_channels = in_channels, out_channels
+        self.spatial = Conv2D(ConvSpec(*self.spatial_kernel, (stride, stride), "same",
+                                       in_channels, out_channels))
+        self.temporal = Conv2D(ConvSpec(self.temporal_kernel, 1, (stride, 1), "same",
+                                        out_channels, out_channels))
         factors = (("s", self.spatial), ("t", self.temporal))
         self.params = {p + f: conv.params[p] for f, conv in factors for p in ("w", "b")}
         self.grads = {p + f: conv.grads[p] for f, conv in factors for p in ("w", "b")}
@@ -225,7 +221,7 @@ class Conv2Plus1D(Layer):
         if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise DimensionError(
                 f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
-        # frames as N x T x C x H x W views; the spatial output is mid-major
+        # frames as N x T x C x H x W views; the spatial output is channel-major
         mid = self.spatial.forward(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
         self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
         n, c, tt, hh, ww = self._act.shape
@@ -248,19 +244,17 @@ class Conv2Plus1D(Layer):
 
 
 class Projection(Layer):
-    """Residual shortcut: a strided 1x1x1 channel projection on N x C x T x H x W."""
+    """Residual shortcut: a 1x1x1 channel projection of N x C x T x H x W, striding T, H, W."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 spatial_stride=1, temporal_stride=1):
+    def __init__(self, in_channels: int, out_channels: int, stride=1):
         super().__init__({"w": np.zeros((out_channels, in_channels)),
                           "b": np.zeros(out_channels)}, in_channels)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.spatial_stride, self.temporal_stride = spatial_stride, temporal_stride
+        s = slice(None, None, stride)
+        self._strided = (slice(None), slice(None), s, s, s)
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
-        ts, ss = self.temporal_stride, self.spatial_stride
-        self._xs = x[:, :, ::ts, ::ss, ::ss]
+        self._xs = x[self._strided]
         w, b = self.params["w"], self.params["b"]
         # one GEMM over the whole batch; the result is channel-major
         y = np.moveaxis(np.tensordot(w, self._xs, axes=([1], [1])), 0, 1)
@@ -272,8 +266,7 @@ class Projection(Layer):
         self.grads["b"][...] = grad_out.sum(axis=tuple(rest))
         gs = np.moveaxis(np.tensordot(self.params["w"].T, grad_out, axes=([1], [1])), 0, 1)
         gx = np.zeros(self._shape)
-        ts, ss = self.temporal_stride, self.spatial_stride
-        gx[:, :, ::ts, ::ss, ::ss] = gs
+        gx[self._strided] = gs
         return gx
 
 
@@ -308,22 +301,18 @@ class Composite(Layer):
 class Residual2Plus1DBlock(Composite):
     """y = relu(conv2(relu(conv1(x))) + shortcut(x)) with (2+1)D convolutions.
 
-    The shortcut is the identity when shape is preserved, otherwise a strided
-    1x1x1 channel projection.  Parameters are named ``c1.*``, ``c2.*`` and
-    ``proj.*``.  Inputs are N x C x T x H x W.
+    ``conv1`` and the shortcut stride T, H and W by ``stride``; the shortcut
+    is the identity when shape is preserved, otherwise a 1x1x1 channel
+    projection.  Parameters are named ``c1.*``, ``c2.*`` and ``proj.*``.
     """
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 spatial_stride=1, temporal_stride=1):
-        self.conv1 = Conv2Plus1D(in_channels, out_channels,
-                                 spatial_stride=spatial_stride,
-                                 temporal_stride=temporal_stride)
+    def __init__(self, in_channels: int, out_channels: int, stride=1):
+        self.conv1 = Conv2Plus1D(in_channels, out_channels, stride)
         self.conv2 = Conv2Plus1D(out_channels, out_channels)
-        self.projecting = (in_channels != out_channels
-                           or spatial_stride != 1 or temporal_stride != 1)
+        self.projecting = in_channels != out_channels or stride != 1
         layers = [("c1", self.conv1), ("c2", self.conv2)]
         if self.projecting:
-            self.proj = Projection(in_channels, out_channels, spatial_stride, temporal_stride)
+            self.proj = Projection(in_channels, out_channels, stride)
             layers.append(("proj", self.proj))
         super().__init__(layers)
 
@@ -333,10 +322,7 @@ class Residual2Plus1DBlock(Composite):
         h = self.conv1.forward(x, mode)
         self._h = np.maximum(h, 0.0, out=h)
         h = self.conv2.forward(self._h, mode)
-        s = self.proj.forward(x, mode) if self.projecting else x
-        if h.shape != s.shape:
-            raise DimensionError(f"residual branch {h.shape} vs shortcut {s.shape}")
-        h += s
+        h += self.proj.forward(x, mode) if self.projecting else x
         self._y = np.maximum(h, 0.0, out=h)
         return self._y
 

@@ -51,6 +51,15 @@ def read_kv(path) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _check_keys(lines: dict, keys, path):
+    """FormatError for a key of ``read_kv(path)``'s ``lines`` not in ``keys``, or one missing."""
+    for key in [*lines, *keys]:  # every key given, then every key wanted
+        if key not in keys:
+            raise FormatError(f"{path}:{lines[key][1]}: unknown key {key!r}")
+        if key not in lines:
+            raise FormatError(f"{path}: missing key {key!r}")
+
+
 def parse_fields(fields, lines: dict, path) -> dict:
     """The values of ``read_kv(path)``'s ``lines`` as the dataclass
     ``fields``, each of the type of its default: a tuple default reads as
@@ -99,17 +108,14 @@ def _build_from_lines(lines: dict, path) -> Net:
     at zero (no random draw) for ``load_net`` to fill."""
     kind = lines.pop("kind", (None,))[0]
     if kind == "fusion":
-        parse_fields((), lines, path)  # a fusion head has no other key
+        _check_keys(lines, (), path)  # a fusion head has no other key
         return build_fusion_head(rng_seed=None)
     if kind not in _KINDS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
     cls, build = _KINDS[kind]
-    kwargs = parse_fields(dataclasses.fields(cls), lines, path)
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in kwargs]
-    if missing:
-        raise FormatError(f"{path}: missing key {missing[0]!r}")
+    _check_keys(lines, [f.name for f in dataclasses.fields(cls)], path)
     try:
-        return build(cls(**kwargs), rng_seed=None)
+        return build(cls(**parse_fields(dataclasses.fields(cls), lines, path)), rng_seed=None)
     except (ConfigError, ParameterError) as e:
         raise FormatError(f"{path}: {e}") from None
 
@@ -156,6 +162,14 @@ def load_net(directory) -> Net:
     return net
 
 
+def load_part(directory, part: str) -> Net:
+    """``load_net``, refusing a model of any kind but ``part`` (``model_kind``)."""
+    net = load_net(directory)
+    if model_kind(net) != part:
+        raise FormatError(f"{directory}: model kind is {model_kind(net)!r}, expected {part!r}")
+    return net
+
+
 def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
     directory = Path(directory)
     nets = dict(zip(_PARTS, (video_net, audio_net, fusion_net)))
@@ -166,14 +180,14 @@ def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
 
 
 def load_bundle(directory):
-    directory = Path(directory)
-    meta = {key: value for key, (value, _) in read_kv(directory / "bundle.txt").items()}
-    if meta.get("concat_order") != ",".join(CONCAT_ORDER):
-        raise FormatError(f"{directory}: unexpected concat order {meta.get('concat_order')!r}")
+    directory, path = Path(directory), Path(directory) / "bundle.txt"
+    meta = read_kv(path)  # key -> (value, line number)
+    _check_keys(meta, ["concat_order"] + [f"{part}_sha256" for part in _PARTS], path)
+    if meta["concat_order"][0] != ",".join(CONCAT_ORDER):
+        raise FormatError(f"{directory}: unexpected concat order {meta['concat_order'][0]!r}")
     nets = {}
     for part in _PARTS:
-        nets[part] = load_net(directory / part)
-        digest = param_sha256(nets[part])
-        if digest != meta.get(f"{part}_sha256"):
+        nets[part] = load_part(directory / part, part)
+        if param_sha256(nets[part]) != meta[f"{part}_sha256"][0]:
             raise FormatError(f"{directory}: {part} parameter hash mismatch")
     return tuple(nets.values())

@@ -48,7 +48,7 @@ class ConvSpec:
 
     kernel_h: int
     kernel_w: int
-    stride: int = 1
+    stride: tuple[int, int] = (1, 1)  # (sh, sw): rows, columns
     padding: str = "valid"  # "valid" | "same"
     in_channels: int = 1
     out_channels: int = 1
@@ -56,8 +56,9 @@ class ConvSpec:
     def __post_init__(self):
         if self.kernel_h < 1 or self.kernel_w < 1:
             raise ParameterError(f"kernel must be positive, got ({self.kernel_h}, {self.kernel_w})")
-        if self.stride < 1:
-            raise ParameterError(f"stride must be positive, got {self.stride}")
+        if not (isinstance(self.stride, tuple) and len(self.stride) == 2
+                and all(isinstance(s, int) and s >= 1 for s in self.stride)):
+            raise ParameterError(f"stride must be two positive ints, got {self.stride!r}")
         if self.padding not in ("valid", "same"):
             raise ParameterError(f"padding must be 'valid' or 'same', got {self.padding!r}")
         if self.in_channels < 1 or self.out_channels < 1:
@@ -85,8 +86,7 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: str) -> int:
     return (padded - kernel) // stride + 1
 
 
-def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec,
-              stride_hw):
+def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec):
     """(sh, sw, ph, pw, out_hw) of the convolution of x[*B, C, H, W] by the
     weights ``w`` and the bias ``b`` (None for none), after checking that
     their shapes fit ``spec``."""
@@ -101,10 +101,9 @@ def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
         raise DimensionError(f"bias shape {b.shape} != ({spec.out_channels},)")
     if x.shape[-3] != spec.in_channels:
         raise DimensionError(f"input has {x.shape[-3]} channels, spec expects {spec.in_channels}")
-    sh, sw = stride_hw if stride_hw is not None else (spec.stride, spec.stride)
-    axes = ((x.shape[-2], spec.kernel_h, sh), (x.shape[-1], spec.kernel_w, sw))
+    axes = tuple(zip(x.shape[-2:], (spec.kernel_h, spec.kernel_w), spec.stride))
     ph, pw = (_pad_amounts(*axis, spec.padding) for axis in axes)
-    return sh, sw, ph, pw, tuple(conv_out_size(*axis, spec.padding) for axis in axes)
+    return (*spec.stride, ph, pw, tuple(conv_out_size(*axis, spec.padding) for axis in axes))
 
 
 def _taps(size: int, k: int, stride: int, pad0: int, out: int):
@@ -151,18 +150,15 @@ def _operand(low: np.ndarray, u: int, sh: int, out_h: int) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-           spec: ConvSpec, stride_hw: tuple[int, int] | None = None) -> np.ndarray:
+           spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x[*B, C, H, W] with weights[C',C,kh,kw] -> [*B, C', H', W'].
 
     One lowered matrix L (see ``_lowered``) and kh GEMMs over its shifted row
     windows, summed: out = sum_u weights[:, :, u] @ L[rows of u].  The result
-    is contiguous (batch-major).  ``stride_hw`` optionally overrides the spec
-    stride per axis (used by the temporal factor of (2+1)D convolutions, which
-    strides one axis only).
-    """
+    is contiguous (batch-major)."""
     x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
-    geometry = _geometry(x, weights, bias, spec, stride_hw)
+    geometry = _geometry(x, weights, bias, spec)
     sh, (out_h, out_w) = geometry[0], geometry[4]
     co = spec.out_channels
     out = np.empty((*x.shape[:-3], co, out_h * out_w))  # before the scratch it outlives
@@ -178,13 +174,13 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
 
 
 def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-                  spec: ConvSpec, stride_hw: tuple[int, int] | None = None) -> np.ndarray:
+                  spec: ConvSpec) -> np.ndarray:
     """Nested-loop reference convolution; the permanent in-repo oracle."""
     x, weights = as_f64(x), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
-    sh, sw, ph, pw, (out_h, out_w) = _geometry(x, weights, bias, spec, stride_hw)
+    sh, sw, ph, pw, (out_h, out_w) = _geometry(x, weights, bias, spec)
     if x.ndim > 3:  # one image at a time
-        return np.stack([conv2d_direct(xi, weights, bias, spec, stride_hw) for xi in x])
+        return np.stack([conv2d_direct(xi, weights, bias, spec) for xi in x])
     xp = np.pad(x, ((0, 0), ph, pw))
     out = np.zeros((spec.out_channels, out_h, out_w))
     for co in range(spec.out_channels):
@@ -200,7 +196,7 @@ def conv2d_direct(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
 
 
 def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.ndarray,
-                    spec: ConvSpec, stride_hw: tuple[int, int] | None = None):
+                    spec: ConvSpec):
     """Gradients of the cross-correlation: (grad_input, grad_weights, grad_bias).
 
     ``saved_input`` is the x[*B, C, H, W] given to ``conv2d``; the weight and
@@ -212,7 +208,7 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x, weights = np.asarray(saved_input, dtype=np.float64), as_f64(weights)
-    geometry = _geometry(x, weights, None, spec, stride_hw)
+    geometry = _geometry(x, weights, None, spec)
     sh, (out_h, out_w) = geometry[0], geometry[4]
     *batch, c, h, w = x.shape
     co, kh, kw = spec.out_channels, spec.kernel_h, spec.kernel_w
@@ -272,8 +268,7 @@ def activation_backward(grad_out: np.ndarray, saved_output: np.ndarray,
     raise ParameterError(f"unknown activation kind {kind!r}")
 
 
-def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-5,
-                   seed: int = 0, check_input: bool = True) -> dict:
+def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5) -> dict:
     """Compare every analytic gradient of ``model`` to central finite differences.
 
     ``model`` follows the batch-first layer protocol: ``forward(xs, mode)`` on
@@ -287,15 +282,14 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
     """
     x = as_f64(x)
     xs = x[None]
-    rng = np.random.default_rng(seed)
+    h, rng = 1e-5, np.random.default_rng(0)  # step; the projection's stream
     y0 = model.forward(xs, mode="eval")
     proj = rng.standard_normal(y0.shape)
 
     def objective() -> float:
         return float(np.sum(model.forward(xs, mode="eval") * proj))
 
-    model.forward(xs, mode="eval")
-    grad_x = model.backward(proj.copy())[0]
+    grad_x = model.backward(proj.copy())[0]  # the caches of y0's forward
 
     def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
         if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))):
@@ -321,8 +315,7 @@ def gradient_check(model, x: np.ndarray, tolerance: float = 1e-5, h: float = 1e-
     report = {"per_tensor": {}, "tolerance": tolerance}
     for name, p in model.params.items():
         report["per_tensor"][name] = rel_err(model.grads[name], numeric_grad(p))
-    if check_input:
-        report["per_tensor"]["<input>"] = rel_err(grad_x, numeric_grad(x))
+    report["per_tensor"]["<input>"] = rel_err(grad_x, numeric_grad(x))
 
     report["max_rel_err"] = max(report["per_tensor"].values(), default=0.0)
     report["ok"] = report["max_rel_err"] < tolerance

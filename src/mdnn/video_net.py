@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Conv2Plus1D, Dense, GlobalAvgPool, Net, Residual2Plus1DBlock
-from .ops import conv_out_size
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class VideoNetConfig:
     def validate(self):
         if len(self.input_shape) != 4:
             raise ConfigError(f"input_shape needs 4 entries, got {self.input_shape}")
-        c, t, h, w = self.input_shape
         sizes = self.input_shape + self.stage_channels + (self.blocks_per_stage,)
         if not self.stage_channels or min(sizes) < 1:
             raise ConfigError(f"need stage channels and every size >= 1, got "
@@ -41,14 +39,6 @@ class VideoNetConfig:
                               f"blocks_per_stage={self.blocks_per_stage}")
         if self.num_classes != 2:
             raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
-        for i, _ch in enumerate(self.stage_channels):
-            if i > 0:
-                t = conv_out_size(t, 3, 2, "same")
-                h = conv_out_size(h, 3, 2, "same")
-                w = conv_out_size(w, 3, 2, "same")
-            if min(t, h, w) < 1:
-                raise ConfigError(f"stage {i} reduces a dimension below 1 "
-                                  f"(t={t}, h={h}, w={w})")
 
 
 TINY_VIDEO_CONFIG = VideoNetConfig(
@@ -67,9 +57,7 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | N
     for s, ch in enumerate(config.stage_channels):
         for b in range(config.blocks_per_stage):
             stride = 2 if (s > 0 and b == 0) else 1
-            layers.append((f"stage{s}_block{b}",
-                           Residual2Plus1DBlock(prev, ch, spatial_stride=stride,
-                                                temporal_stride=stride)))
+            layers.append((f"stage{s}_block{b}", Residual2Plus1DBlock(prev, ch, stride)))
             prev = ch
     layers += [
         ("pool", GlobalAvgPool()),

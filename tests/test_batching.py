@@ -147,21 +147,14 @@ def test_dropout_layer_batch_mask_is_sequential_draws():
                                            for _ in range(4)]))
 
 
-def conv_spatial_strided():
-    return Conv2Plus1D(2, 3, spatial_stride=2, temporal_stride=2)
-
-
 # layer, batched input shape (N = 3)
 LAYER_KINDS = {
     "dense": (lambda: Dense(5, 4), (3, 5)),
-    "conv2d": (lambda: Conv2D(ConvSpec(3, 3, 2, "same", 2, 3)), (3, 2, 6, 5)),
-    "conv2d_stride_hw": (lambda: Conv2D(ConvSpec(3, 1, 1, "same", 2, 3), stride_hw=(2, 1)),
-                         (3, 2, 5, 4)),
-    "conv2plus1d_strided": (conv_spatial_strided, (3, 2, 4, 5, 5)),
-    "projection": (lambda: Projection(2, 3, spatial_stride=2, temporal_stride=2),
-                   (3, 2, 4, 5, 5)),
-    "residual_block": (lambda: Residual2Plus1DBlock(2, 3, spatial_stride=2,
-                                                    temporal_stride=2), (3, 2, 4, 5, 5)),
+    "conv2d": (lambda: Conv2D(ConvSpec(3, 3, (2, 2), "same", 2, 3)), (3, 2, 6, 5)),
+    "conv2d_stride_2x1": (lambda: Conv2D(ConvSpec(3, 1, (2, 1), "same", 2, 3)), (3, 2, 5, 4)),
+    "conv2plus1d_strided": (lambda: Conv2Plus1D(2, 3, stride=2), (3, 2, 4, 5, 5)),
+    "projection": (lambda: Projection(2, 3, stride=2), (3, 2, 4, 5, 5)),
+    "residual_block": (lambda: Residual2Plus1DBlock(2, 3, stride=2), (3, 2, 4, 5, 5)),
     "flatten": (Flatten, (3, 2, 2, 2)),
     "global_avg_pool": (GlobalAvgPool, (3, 2, 3, 3)),
     "dropout_eval": (lambda: Dropout(0.5), (3, 6)),
@@ -200,24 +193,24 @@ def test_gradient_check_through_batched_layers(kind):
     assert report["ok"], report
 
 
-# id -> (spec, stride_hw, input shape): "None" and "stride_hw1" are a 3x3
-# "same" convolution at the spec's stride and at the temporal factor's (2, 1)
+# id -> (spec, input shape): a 3x3 "same" convolution given no stride ("None":
+# the default, (1, 1)) and at the temporal factor's (2, 1) ("stride_2x1")
 ORACLE_CASES = {
-    "None": (ConvSpec(3, 3, 1, "same", 2, 3), None, (2, 3, 2, 5, 6)),
-    "stride_hw1": (ConvSpec(3, 3, 1, "same", 2, 3), (2, 1), (2, 3, 2, 5, 6)),
+    "None": (ConvSpec(3, 3, padding="same", in_channels=2, out_channels=3), (2, 3, 2, 5, 6)),
+    "stride_2x1": (ConvSpec(3, 3, (2, 1), "same", 2, 3), (2, 3, 2, 5, 6)),
     **{case: geometry_case(case) for case in GEOMETRY_CASES},
 }
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_batched_conv2d_matches_direct_oracle(case):
-    spec, stride_hw, shape = ORACLE_CASES[case]
+    spec, shape = ORACLE_CASES[case]
     rng = np.random.default_rng(22)
     x = rng.standard_normal(shape)
     w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
     b = rng.standard_normal(spec.out_channels)
-    got = ops.conv2d(x, w, b, spec, stride_hw=stride_hw)
-    want = ops.conv2d_direct(x, w, b, spec, stride_hw=stride_hw)
+    got = ops.conv2d(x, w, b, spec)
+    want = ops.conv2d_direct(x, w, b, spec)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
 

@@ -434,6 +434,57 @@ class TestTypedParseErrors:
         monkeypatch.setattr("mdnn.layers.he_uniform", he_uniform)
         assert len(model_io.load_bundle(workspace / "bundle")) == 3
 
+    @pytest.mark.parametrize("video_dir, audio_dir, named", [
+        ("audio", "video", "audio"),
+        ("bundle/fusion", "audio", "bundle/fusion"),
+    ], ids=["swapped", "fusion_as_video"])
+    def test_train_fusion_frozen_model_of_wrong_kind(self, workspace, tmp_path, capsys,
+                                                     video_dir, audio_dir, named):
+        """A frozen model of another kind than its flag's is refused, naming
+        its directory, before any feature is computed."""
+        assert run(["train", "--model", "fusion", "--tiny", "--epochs", "1",
+                    "--data", str(workspace / "data" / "manifest.csv"),
+                    "--video-dir", str(workspace / video_dir),
+                    "--audio-dir", str(workspace / audio_dir),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"{workspace / named}: model kind is " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bundle_parts_swapped_with_their_hashes(self, workspace, tmp_path, capsys):
+        """A bundle whose video and audio models trade places, hashes too,
+        is refused at load, naming the part that holds the wrong kind."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        (bundle / "video").rename(bundle / "tmp")
+        (bundle / "audio").rename(bundle / "video")
+        (bundle / "tmp").rename(bundle / "audio")
+        text = (bundle / "bundle.txt").read_text()
+        (bundle / "bundle.txt").write_text(text.replace("video_sha256", "tmp").replace(
+            "audio_sha256", "video_sha256").replace("tmp", "audio_sha256"))
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        assert run(["predict", "--model-dir", str(bundle),
+                    "--video", row.video_path, "--audio", row.audio_path]) == 2
+        assert (f"{bundle / 'video'}: model kind is 'audio', expected 'video'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + ["vidoe_sha256=00"], "{path}:5: unknown key 'vidoe_sha256'"),
+        (lambda lines: [ln for ln in lines if not ln.startswith("audio_sha256=")],
+         "{path}: missing key 'audio_sha256'"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_bundle_txt_keys(self, workspace, tmp_path, capsys, edit, message):
+        """bundle.txt holds concat_order and one <part>_sha256 per part:
+        any other key is refused, naming its line, and a missing one is
+        named as missing."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        path = bundle / "bundle.txt"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        assert run(["predict", "--model-dir", str(bundle),
+                    "--video", row.video_path, "--audio", row.audio_path]) == 2
+        assert message.format(path=path) in capsys.readouterr().err
+
     def test_eval_fusion_subdirectory(self, workspace, capsys):
         assert run(["eval", "--model-dir", str(workspace / "bundle" / "fusion"),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2

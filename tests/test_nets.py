@@ -81,13 +81,14 @@ class TestConv2Plus1D:
         assert layer.factored_weight_count() == 12 * c * c
         assert layer.full3d_weight_count() == 27 * c * c
 
+    # (ts, ss): the oracle's temporal and spatial strides, equal because a
+    # (2+1)D layer strides T, H and W alike
     @pytest.mark.parametrize("shape,ts,ss", [
         ((2, 4, 8, 8), 1, 1), ((2, 4, 8, 8), 2, 2), ((1, 5, 7, 9), 2, 2),
-        ((3, 1, 4, 4), 1, 2), ((2, 3, 5, 5), 2, 1),
     ])
     def test_output_shape_matches_full3d_oracle(self, shape, ts, ss):
         c, t, h, w = shape
-        layer = Conv2Plus1D(c, 5, spatial_stride=ss, temporal_stride=ts)
+        layer = Conv2Plus1D(c, 5, stride=ts)
         layer.init_params(np.random.default_rng(0))
         out = layer.forward(np.random.default_rng(1).random(shape)[None])[0]
         assert out.shape == (5,) + full_conv_output_shape(t, h, w, ts, ss)
@@ -119,7 +120,7 @@ class TestResidualBlock:
         assert Residual2Plus1DBlock(4, 8).projecting
 
     def test_projection_on_stride(self):
-        assert Residual2Plus1DBlock(4, 4, spatial_stride=2, temporal_stride=2).projecting
+        assert Residual2Plus1DBlock(4, 4, stride=2).projecting
 
     def test_zero_branch_reduces_to_relu_shortcut(self):
         block = Residual2Plus1DBlock(2, 2)
@@ -130,7 +131,7 @@ class TestResidualBlock:
         assert np.array_equal(block.forward(x[None])[0], np.maximum(x, 0.0))
 
     def test_strided_block_output_shape(self):
-        block = Residual2Plus1DBlock(2, 6, spatial_stride=2, temporal_stride=2)
+        block = Residual2Plus1DBlock(2, 6, stride=2)
         block.init_params(np.random.default_rng(0))
         out = block.forward(np.random.default_rng(1).random((1, 2, 4, 9, 9)))[0]
         assert out.shape == (6, 2, 5, 5)

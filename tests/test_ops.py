@@ -11,15 +11,15 @@ from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout,
                          Flatten, GlobalAvgPool, Layer, Net)
 from mdnn.ops import ConvSpec
 
-# id -> (spec, stride_hw, image H x W): geometries the lowered convolution must
-# get right, checked against conv2d_direct and by finite differences
+# id -> (spec, image H x W): geometries the lowered convolution must get
+# right, checked against conv2d_direct and by finite differences
 CONV_GEOMETRIES = {
-    "stride2_same_odd_hw": (ConvSpec(3, 3, 2, "same", 2, 3), None, (7, 5)),
-    "stride2_same_even_hw": (ConvSpec(3, 3, 2, "same", 2, 3), None, (6, 6)),
-    "kernel_2x3": (ConvSpec(2, 3, 1, "same", 2, 3), None, (5, 6)),
-    "kernel_3x1_stride_2x1": (ConvSpec(3, 1, 1, "same", 2, 3), (2, 1), (7, 4)),
-    "valid": (ConvSpec(3, 3, 1, "valid", 2, 3), None, (5, 6)),
-    "valid_stride2": (ConvSpec(3, 3, 2, "valid", 2, 3), None, (7, 6)),
+    "stride2_same_odd_hw": (ConvSpec(3, 3, (2, 2), "same", 2, 3), (7, 5)),
+    "stride2_same_even_hw": (ConvSpec(3, 3, (2, 2), "same", 2, 3), (6, 6)),
+    "kernel_2x3": (ConvSpec(2, 3, (1, 1), "same", 2, 3), (5, 6)),
+    "kernel_3x1_stride_2x1": (ConvSpec(3, 1, (2, 1), "same", 2, 3), (7, 4)),
+    "valid": (ConvSpec(3, 3, (1, 1), "valid", 2, 3), (5, 6)),
+    "valid_stride2": (ConvSpec(3, 3, (2, 2), "valid", 2, 3), (7, 6)),
 }
 # id -> leading batch axes in front of C x H x W
 LEADING_AXES = {"no_batch": (), "one_axis": (3,), "two_axes": (2, 3)}
@@ -27,28 +27,27 @@ GEOMETRY_CASES = [f"{g}-{lead}" for g in CONV_GEOMETRIES for lead in LEADING_AXE
 
 
 def geometry_case(case):
-    """(spec, stride_hw, input shape) of a GEOMETRY_CASES id."""
+    """(spec, input shape) of a GEOMETRY_CASES id."""
     g, lead = case.split("-")
-    spec, stride_hw, hw = CONV_GEOMETRIES[g]
-    return spec, stride_hw, LEADING_AXES[lead] + (spec.in_channels,) + hw
+    spec, hw = CONV_GEOMETRIES[g]
+    return spec, LEADING_AXES[lead] + (spec.in_channels,) + hw
 
 
 class ConvOp(Layer):
     """ops.conv2d and conv2d_backward as a gradient_check model."""
 
-    def __init__(self, spec, stride_hw, rng):
+    def __init__(self, spec, rng):
         shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
         super().__init__({"w": rng.standard_normal(shape),
                           "b": rng.standard_normal(spec.out_channels)})
-        self.spec, self.stride_hw = spec, stride_hw
+        self.spec = spec
 
     def forward(self, x, mode="eval"):
         self._x = x
-        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec, self.stride_hw)
+        return ops.conv2d(x, self.params["w"], self.params["b"], self.spec)
 
     def backward(self, grad_out):
-        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec,
-                                         self.stride_hw)
+        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec)
         self.grads["w"][...] = gw
         self.grads["b"][...] = gb
         return gi
@@ -56,7 +55,7 @@ class ConvOp(Layer):
 
 class TestConv2d:
     def test_all_ones_sum(self):
-        spec = ConvSpec(3, 3, 1, "valid", 1, 1)
+        spec = ConvSpec(3, 3, (1, 1), "valid", 1, 1)
         out = ops.conv2d(np.ones((1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1), spec)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(9.0)
@@ -66,7 +65,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 6, 7))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        spec = ConvSpec(3, 3, 1, "same", 1, 1)
+        spec = ConvSpec(3, 3, (1, 1), "same", 1, 1)
         assert np.allclose(ops.conv2d(x, w, np.zeros(1), spec), x)
 
     def test_vs_direct_loop(self):
@@ -74,7 +73,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 9, 9))
         w = rng.standard_normal((4, 2, 3, 3))
         b = rng.standard_normal(4)
-        spec = ConvSpec(3, 3, 2, "valid", 2, 4)
+        spec = ConvSpec(3, 3, (2, 2), "valid", 2, 4)
         fast = ops.conv2d(x, w, b, spec)
         assert np.abs(fast - ops.conv2d_direct(x, w, b, spec)).max() < 1e-9
 
@@ -88,15 +87,24 @@ class TestConv2d:
             w = int(rng.integers(kw, kw + 6))
             stride = int(rng.integers(1, 3))
             padding = "same" if rng.random() < 0.5 else "valid"
-            spec = ConvSpec(kh, kw, stride, padding, cin, cout)
+            spec = ConvSpec(kh, kw, (stride, stride), padding, cin, cout)
             x = rng.standard_normal((cin, h, w))
             wt = rng.standard_normal((cout, cin, kh, kw))
             b = rng.standard_normal(cout)
             assert np.abs(ops.conv2d(x, wt, b, spec)
                           - ops.conv2d_direct(x, wt, b, spec)).max() < 1e-9
 
+    @pytest.mark.parametrize("stride", [2, (0, 1), (2,), (2, 2, 2), (2.0, 1), ("2", 1), None],
+                             ids=["int", "zero", "one_axis", "three_axes", "float", "str",
+                                  "none"])
+    def test_stride_not_two_positive_ints(self, stride):
+        """A stride is one positive int per axis (rows, columns): anything
+        else is a ParameterError, never a TypeError."""
+        with pytest.raises(ParameterError, match="stride"):
+            ConvSpec(3, 3, stride)
+
     def test_kernel_too_large(self):
-        spec = ConvSpec(5, 5, 1, "valid", 1, 1)
+        spec = ConvSpec(5, 5, (1, 1), "valid", 1, 1)
         with pytest.raises(DimensionError):
             ops.conv2d(np.zeros((1, 3, 3)), np.zeros((1, 1, 5, 5)), np.zeros(1), spec)
 
@@ -104,14 +112,14 @@ class TestConv2d:
 class TestConv2dBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(4)
-        spec = ConvSpec(3, 3, 1, "valid", 1, 2)
+        spec = ConvSpec(3, 3, (1, 1), "valid", 1, 2)
         x = rng.standard_normal((1, 5, 5))
         w = rng.standard_normal((2, 1, 3, 3))
         gi, gw, gb = ops.conv2d_backward(np.zeros((2, 3, 3)), x, w, spec)
         assert not gi.any() and not gw.any() and not gb.any()
 
     def test_scalar_chain_rule(self):
-        spec = ConvSpec(1, 1, 1, "valid", 1, 1)
+        spec = ConvSpec(1, 1, (1, 1), "valid", 1, 1)
         x = np.full((1, 1, 1), 3.0)
         w = np.full((1, 1, 1, 1), 2.0)
         g = np.full((1, 1, 1), 5.0)
@@ -122,9 +130,9 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("case", GEOMETRY_CASES)
     def test_finite_differences(self, case):
-        spec, stride_hw, shape = geometry_case(case)
+        spec, shape = geometry_case(case)
         rng = np.random.default_rng(5)
-        report = ops.gradient_check(ConvOp(spec, stride_hw, rng), rng.standard_normal(shape))
+        report = ops.gradient_check(ConvOp(spec, rng), rng.standard_normal(shape))
         assert report["ok"], report
 
 
@@ -239,7 +247,7 @@ class TestGradientCheck:
     def test_layer_kinds_all_pass(self):
         rng = np.random.default_rng(13)
         cases = [
-            (Net([("c", Conv2D(ConvSpec(3, 3, 1, "valid", 1, 2)))]),
+            (Net([("c", Conv2D(ConvSpec(3, 3, (1, 1), "valid", 1, 2)))]),
              rng.standard_normal((1, 5, 5))),
             (Net([("d", Dense(5, 4))]), rng.standard_normal(5)),
             (Net([("p", GlobalAvgPool())]), rng.standard_normal((2, 3, 3))),
@@ -258,7 +266,7 @@ def test_kernels_bitwise_deterministic():
     x = rng.standard_normal((2, 8, 8))
     w = rng.standard_normal((3, 2, 3, 3))
     b = rng.standard_normal(3)
-    spec = ConvSpec(3, 3, 1, "same", 2, 3)
+    spec = ConvSpec(3, 3, (1, 1), "same", 2, 3)
     a = ops.conv2d(x, w, b, spec)
     assert np.array_equal(a, ops.conv2d(x, w, b, spec))
     s = ops.activation(x, "sigmoid")
