@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .layers import Activation, Conv2D, Dense, Dropout, Flatten, Net
+from .layers import Conv2D, Dense, Dropout, Flatten, Net, ReLU
 from .ops import ConvSpec, conv_out_size
 
 
@@ -68,13 +68,13 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
     f = config.conv_filters
     net = Net([
         ("conv1", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", 1, f))),
-        ("relu1", Activation("relu")),
+        ("relu1", ReLU()),
         ("conv2", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", f, f))),
-        ("relu2", Activation("relu")),
+        ("relu2", ReLU()),
         ("flatten", Flatten()),
         ("dropout", Dropout(config.dropout_rate)),
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
-        ("relu3", Activation("relu")),
+        ("relu3", ReLU()),
         ("dense2", Dense(config.dense1_width, config.num_classes)),
     ], output="sigmoid")
     net.config = config

@@ -29,12 +29,15 @@ VERSION = 1
 DTYPE_F64 = 1
 
 
+def container_header(shape) -> bytes:
+    """The bytes in front of the payload of a container of ``shape``."""
+    return MAGIC + struct.pack(f"<BBB{len(shape)}I", VERSION, DTYPE_F64, len(shape), *shape)
+
+
 def write_container(path, t: np.ndarray):
     t = np.asarray(t, dtype=np.float64)  # 0-d stays rank 0; tobytes is C-order
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<BBB", VERSION, DTYPE_F64, t.ndim))
-        f.write(struct.pack(f"<{t.ndim}I", *t.shape))
+        f.write(container_header(t.shape))
         f.write(t.astype("<f8").tobytes())
 
 

@@ -139,14 +139,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelBank:
-    matrix: np.ndarray  # (80, 513)
-    edges_hz: np.ndarray  # (82,)
-
-
-def build_mel_bank() -> MelBank:
-    """80 triangular filters, mel-equidistant edges on [0, 8000] Hz, peak 1."""
+def build_mel_bank() -> np.ndarray:
+    """The (80, 513) matrix of 80 triangular filters, mel-equidistant edges on
+    [0, 8000] Hz, peak 1."""
     edges = mel_to_hz(np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), N_MEL_FILTERS + 2))
     bin_hz = np.arange(N_BINS) * (SAMPLE_RATE / FFT_LEN)
     bank = np.zeros((N_MEL_FILTERS, N_BINS))
@@ -155,7 +150,7 @@ def build_mel_bank() -> MelBank:
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)
         bank[i] = np.clip(np.minimum(up, down), 0.0, None)
-    return MelBank(matrix=bank, edges_hz=edges)
+    return bank
 
 
 def dct2_matrix(n: int = N_MEL_FILTERS) -> np.ndarray:
@@ -169,7 +164,7 @@ def dct2_matrix(n: int = N_MEL_FILTERS) -> np.ndarray:
 
 
 _HANN = hann_window()
-_MEL80 = build_mel_bank().matrix
+_MEL80 = build_mel_bank()
 _DCT80 = dct2_matrix(N_MEL_FILTERS)
 
 

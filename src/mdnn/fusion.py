@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio_net import audio_forward
 from .errors import DimensionError, DomainError
-from .layers import Activation, Dense, Net
+from .layers import Dense, Net, ReLU
 from .video_net import video_forward
 
 FUSION_INPUT_DIM = 4
@@ -26,7 +26,7 @@ CONCAT_ORDER = ("video", "audio")
 def build_fusion_head(rng_seed: int | None = 0) -> Net:
     net = Net([
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
-        ("relu", Activation("relu")),
+        ("relu", ReLU()),
         ("dense2", Dense(FUSION_HIDDEN_DIM, 2)),
     ], output="softmax_lastdim")
     net.init_params(rng_seed)

@@ -117,19 +117,16 @@ class Conv2D(Layer):
         return gi
 
 
-class Activation(Layer):
-    def __init__(self, kind: str):
-        super().__init__()
-        if kind not in ops.ACTIVATION_KINDS:
-            raise ParameterError(f"unknown activation {kind!r}")
-        self.kind = kind
+class ReLU(Layer):
+    """max(x, 0); the backward's mask is the saved output > 0, which holds
+    exactly where the input was."""
 
     def forward(self, x, mode="eval"):
-        self._y = ops.activation(x, self.kind)
+        self._y = ops.activation(x, "relu")
         return self._y
 
     def backward(self, grad_out):
-        return ops.activation_backward(grad_out, self._y, self.kind)
+        return grad_out * (self._y > 0.0)
 
 
 class Dropout(Layer):
@@ -235,9 +232,6 @@ class Conv2Plus1D(Layer):
         gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
         return self.spatial.backward(gmid.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
 
-    def factored_weight_count(self) -> int:
-        return self.params["ws"].size + self.params["wt"].size
-
     def full3d_weight_count(self) -> int:
         kh, kw = self.spatial_kernel
         return self.temporal_kernel * kh * kw * self.in_channels * self.out_channels
@@ -339,7 +333,7 @@ class Net(Composite):
 
     ``forward``/``backward`` run an N x ... batch through every layer once,
     from the input to the logits and back; ``output`` is the activation kind
-    (``ops.ACTIVATION_KINDS``) ``predict`` applies to the logits, None for
+    (``ops.activation``) ``predict`` applies to the logits, None for
     none.  ``run`` predicts one sample or any leading batch axes in front of
     it.
     """

@@ -1,34 +1,53 @@
-"""Model persistence: one tensor container per parameter plus text manifests.
+"""Model persistence: one parameter container and two text records per model.
 
-A model directory holds ``model.txt`` (kind + architecture as key=value
-lines), ``params.txt`` (parameter names in serialization order) and one
-``.ntc`` file per parameter.  A fusion bundle is a directory with the three
-model subdirectories and ``bundle.txt`` recording the concatenation order and
-a SHA-256 of each sub-model's parameter bytes, so frozen-sub-model integrity
-is checkable at load time.  ``read_kv`` reads every key=value file of the
-program, training config files included.
+A model directory holds ``model.txt`` (kind and architecture, key=value
+lines), ``params.ntc`` (a rank-1 container of every parameter in namespace
+order: its payload is ``Net.param_bytes()``, the shapes come from the
+architecture) and ``params.txt``, the commit record: the parameter names, one
+a line, then ``sha256=<hex>`` of that payload.  A fusion bundle holds the
+three model directories and ``bundle.txt``: the concatenation order and each
+part's hash.  ``read_kv`` reads every key=value file, config files included.
+
+Each file is written to ``<name>.tmp``, then moved onto its name with
+``os.replace``: ``params.ntc``, ``model.txt``, ``params.txt``; a bundle's
+three parts, then ``bundle.txt``.  A save stopped by an exception or a kill
+loads as the old model, the new one, or not at all (FormatError): a newer
+``params.ntc`` fails the old ``params.txt``'s hash, a newer part the old
+``bundle.txt``'s, unless its parameters are unchanged (those hashes do not
+cover ``model.txt``).  ``params.ntc`` goes first because a new ``model.txt``
+can keep every parameter shape (a video net's frame count).  No ``fsync`` is
+done, so a power loss is not covered.  The earlier layout, one ``.ntc`` file
+per parameter, does not load: save the model again.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .audio_net import AudioNetConfig, build_audio_net
-from .data import read_container, read_text, write_container
+from .data import container_header, read_container, read_text
 from .errors import ConfigError, FormatError, ParameterError
 from .fusion import CONCAT_ORDER, build_fusion_head
 from .layers import Net
 from .video_net import VideoNetConfig, build_video_net
 
 
-def _kv_write(path, mapping: dict):
-    with open(path, "w") as f:
-        for k, v in mapping.items():
-            f.write(f"{k}={v}\n")
+def _write(path: Path, *chunks: bytes):
+    """Write ``chunks`` to ``<name>.tmp`` beside ``path``, then move it onto
+    ``path``: the file is always whole, old or new.  Every save writes here."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        f.writelines(chunks)
+    os.replace(tmp, path)
+
+
+def _lines_bytes(lines) -> bytes:
+    return "".join(f"{line}\n" for line in lines).encode()
 
 
 def read_kv(path) -> dict[str, tuple[str, int]]:
@@ -120,45 +139,49 @@ def _build_from_lines(lines: dict, path) -> Net:
         raise FormatError(f"{path}: {e}") from None
 
 
-def _param_filename(name: str) -> str:
-    return name.replace("/", "__").replace(".", "-") + ".ntc"
-
-
 def param_sha256(net: Net) -> str:
     return hashlib.sha256(net.param_bytes()).hexdigest()
 
 
-def save_net(directory, net: Net):
-    """Write ``net`` into ``directory``, over any model already there.
-    ``params.txt`` is the commit marker: it is removed first and written
-    last, so a save that stops part way leaves a directory ``load_net``
-    refuses, never a mix of two models."""
+def save_net(directory, net: Net) -> str:
+    """Write ``net`` into ``directory``, over any model already there, and
+    return its ``param_sha256``; see the module docstring for the order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "params.txt").unlink(missing_ok=True)
-    _kv_write(directory / "model.txt", _arch_mapping(net))
-    names = list(net.params)
-    for name in names:
-        write_container(directory / _param_filename(name), net.params[name])
-    (directory / "params.txt").write_text("".join(n + "\n" for n in names))
+    payload = net.param_bytes()
+    digest = hashlib.sha256(payload).hexdigest()
+    _write(directory / "params.ntc", container_header((len(payload) // 8,)), payload)
+    _write(directory / "model.txt", _lines_bytes(map("=".join, _arch_mapping(net).items())))
+    _write(directory / "params.txt", _lines_bytes([*net.params, f"sha256={digest}"]))
+    return digest
 
 
 def load_net(directory) -> Net:
+    """The net ``model.txt`` describes, filled from ``params.ntc`` once its
+    value count and SHA-256 match ``params.txt``; each tensor is checked
+    finite and copied into the array the architecture allocated."""
     directory = Path(directory)
-    path = directory / "model.txt"
+    path, ntc = directory / "model.txt", directory / "params.ntc"
     net = _build_from_lines(read_kv(path), path)
-    names = read_text(directory / "params.txt").split()
-    if names != list(net.params):
-        raise FormatError(f"{directory}: parameter list does not match architecture")
-    for name in names:
-        path = directory / _param_filename(name)
-        value, param = read_container(path), net.params[name]
-        if value.shape != param.shape:
-            raise FormatError(f"{path}: shape {value.shape} does not match the "
-                              f"architecture's {param.shape}")
+    if not ntc.exists():
+        raise FormatError(f"{ntc}: missing; a directory of one .ntc file per "
+                          "parameter is the earlier layout: save the model again")
+    *names, digest = read_text(directory / "params.txt").split() or [""]
+    if names != list(net.params) or not digest.startswith("sha256="):
+        raise FormatError(f"{directory / 'params.txt'}: expected the architecture's "
+                          "parameter names, one a line, then sha256=<hex>")
+    values = read_container(ntc)
+    ends = np.cumsum([p.size for p in net.params.values()])
+    if values.shape != (ends[-1],):
+        raise FormatError(f"{ntc}: shape {values.shape}, expected ({ends[-1]},), "
+                          "the architecture's value count")
+    if f"sha256={hashlib.sha256(values).hexdigest()}" != digest:
+        raise FormatError(f"{ntc}: parameter hash mismatch with params.txt")
+    for (name, param), end in zip(net.params.items(), ends):
+        value = values[end - param.size:end]
         if not np.all(np.isfinite(value)):
-            raise FormatError(f"{path}: non-finite parameter values")
-        param[...] = value
+            raise FormatError(f"{ntc}: non-finite values in {name}")
+        param[...] = value.reshape(param.shape)
     return net
 
 
@@ -172,14 +195,15 @@ def load_part(directory, part: str) -> Net:
 
 def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
     directory = Path(directory)
-    nets = dict(zip(_PARTS, (video_net, audio_net, fusion_net)))
-    for part, net in nets.items():
-        save_net(directory / part, net)
-    _kv_write(directory / "bundle.txt", {"concat_order": ",".join(CONCAT_ORDER)}
-              | {f"{part}_sha256": param_sha256(net) for part, net in nets.items()})
+    nets = zip(_PARTS, (video_net, audio_net, fusion_net))
+    hashes = [f"{part}_sha256={save_net(directory / part, net)}" for part, net in nets]
+    _write(directory / "bundle.txt", _lines_bytes([f"concat_order={','.join(CONCAT_ORDER)}",
+                                                   *hashes]))
 
 
 def load_bundle(directory):
+    """The three parts of the bundle in ``directory``, each refused unless its
+    ``params.txt`` hash is ``bundle.txt``'s for that part."""
     directory, path = Path(directory), Path(directory) / "bundle.txt"
     meta = read_kv(path)  # key -> (value, line number)
     _check_keys(meta, ["concat_order"] + [f"{part}_sha256" for part in _PARTS], path)
@@ -188,6 +212,7 @@ def load_bundle(directory):
     nets = {}
     for part in _PARTS:
         nets[part] = load_part(directory / part, part)
-        if param_sha256(nets[part]) != meta[f"{part}_sha256"][0]:
+        record = read_text(directory / part / "params.txt").split()
+        if record[-1] != f"sha256={meta[f'{part}_sha256'][0]}":
             raise FormatError(f"{directory}: {part} parameter hash mismatch")
     return tuple(nets.values())

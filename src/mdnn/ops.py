@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import DimensionError, GradientCheckError, ParameterError
 
-ACTIVATION_KINDS = ("relu", "sigmoid", "softmax_lastdim")
-
 # Values per block of an elementwise pass over a large tensor: 256 KiB of
 # float64, so one block stays in L2 cache through all of the pass's operations
 # and the whole tensor streams through memory once.
@@ -249,22 +247,6 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
-    raise ParameterError(f"unknown activation kind {kind!r}")
-
-
-def activation_backward(grad_out: np.ndarray, saved_output: np.ndarray,
-                        kind: str) -> np.ndarray:
-    """The gradient from the forward's output alone: a ReLU output is > 0
-    exactly where its input was."""
-    grad_out = as_f64(grad_out)
-    if kind == "relu":
-        return grad_out * (saved_output > 0.0)
-    if kind == "sigmoid":
-        return grad_out * saved_output * (1.0 - saved_output)
-    if kind == "softmax_lastdim":
-        y = saved_output
-        dot = (grad_out * y).sum(axis=-1, keepdims=True)
-        return y * (grad_out - dot)
     raise ParameterError(f"unknown activation kind {kind!r}")
 
 

@@ -36,7 +36,7 @@ def test_criterion_1_parameter_count_identity():
     with report(1, "parameter-count identity"):
         for c in (1, 8, 64):
             block = Conv2Plus1D(c, c)
-            assert block.factored_weight_count() == 12 * c * c
+            assert block.params["ws"].size + block.params["wt"].size == 12 * c * c
             assert block.full3d_weight_count() == 27 * c * c
             # factored storage is below half the full 3-D kernel: 12 < 13.5,
             # equivalently 2 * 12 * c^2 < 27 * c^2

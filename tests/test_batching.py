@@ -14,12 +14,12 @@ from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_for
                             build_audio_net)
 from mdnn.errors import DimensionError
 from mdnn.fusion import FUSION_INPUT_DIM, build_fusion_head
-from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout, Flatten,
-                         GlobalAvgPool, Projection, Residual2Plus1DBlock)
+from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, Flatten, GlobalAvgPool,
+                         Projection, ReLU, Residual2Plus1DBlock)
 from mdnn.ops import ConvSpec
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG, build_video_net,
                             video_forward)
-from test_ops import GEOMETRY_CASES, geometry_case
+from test_ops import GEOMETRY_CASES, OutputActivation, geometry_case
 
 N = 5
 REL = 1e-12
@@ -158,9 +158,9 @@ LAYER_KINDS = {
     "flatten": (Flatten, (3, 2, 2, 2)),
     "global_avg_pool": (GlobalAvgPool, (3, 2, 3, 3)),
     "dropout_eval": (lambda: Dropout(0.5), (3, 6)),
-    "relu": (lambda: Activation("relu"), (3, 6)),
-    "sigmoid": (lambda: Activation("sigmoid"), (3, 6)),
-    "softmax_lastdim": (lambda: Activation("softmax_lastdim"), (3, 6)),
+    "relu": (ReLU, (3, 6)),
+    "sigmoid": (lambda: OutputActivation("sigmoid"), (3, 6)),
+    "softmax_lastdim": (lambda: OutputActivation("softmax_lastdim"), (3, 6)),
 }
 
 

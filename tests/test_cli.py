@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, round trips, reproducibility."""
 
+import dataclasses
 import shutil
 import struct
 import warnings
@@ -12,8 +13,9 @@ from mdnn import data as dm
 from mdnn import model_io, trainer
 from mdnn.audio_net import audio_forward
 from mdnn.cli import run
+from mdnn.errors import FormatError
 from mdnn.fusion import fused_forward
-from mdnn.video_net import video_forward
+from mdnn.video_net import build_video_net, video_forward
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +107,10 @@ class TestExtractInspect:
 
 class TestTrainEvalPredict:
     def test_model_directory_layout(self, workspace):
-        for part in ("audio", "video"):
-            d = workspace / part
-            assert (d / "model.txt").exists()
-            assert (d / "params.txt").exists()
-            assert (d / "epochs.csv").exists()
+        for part in ("audio", "video", "bundle/video", "bundle/audio", "bundle/fusion"):
+            files = sorted(p.name for p in (workspace / part).iterdir())
+            assert files == ["epochs.csv"] * (part in ("audio", "video")) + [
+                "model.txt", "params.ntc", "params.txt"]
         assert (workspace / "bundle" / "bundle.txt").exists()
 
     def test_eval_each_model(self, workspace, capsys):
@@ -345,21 +346,57 @@ class TestTypedParseErrors:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("part, edit, named", [
-        ("audio", lambda d: dm.write_container(d / "dense2__b.ntc", np.zeros(3)),
-         "dense2__b.ntc"),
+    # (held, needed): the values params.ntc holds and the architecture needs,
+    # relative to the saved model's count
+    @pytest.mark.parametrize("part, edit, held, needed", [
+        ("audio", lambda d: dm.write_container(
+            d / "params.ntc", dm.read_container(d / "params.ntc")[:-1]), -1, 0),
+        # a second input channel for each of the stem's 8 spatial 3x3 filters
         ("video", lambda d: (d / "model.txt").write_text((d / "model.txt").read_text().replace(
-            "input_shape=1x4x16x16", "input_shape=2x4x16x16")), "stem__ws.ntc"),
+            "input_shape=1x4x16x16", "input_shape=2x4x16x16")), 0, 8 * 3 * 3),
     ], ids=["parameter_file", "two_video_channels"])
-    def test_parameter_shape_mismatch(self, workspace, tmp_path, capsys, part, edit, named):
-        """A parameter file whose shape does not fit the architecture that
-        model.txt describes is a format error naming the file."""
+    def test_parameter_shape_mismatch(self, workspace, tmp_path, capsys, part, edit, held,
+                                      needed):
+        """A params.ntc whose value count does not fit the architecture that
+        model.txt describes is a format error naming the file and both counts."""
         model = tmp_path / part
         shutil.copytree(workspace / part, model)
         edit(model)
+        n = sum(p.size for p in model_io.load_net(workspace / part).params.values())
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
-        assert str(model / named) in capsys.readouterr().err
+        assert (f"{model / 'params.ntc'}: shape ({n + held},), expected ({n + needed},), "
+                "the architecture's value count" in capsys.readouterr().err)
+
+    def test_flipped_parameter_byte(self, workspace, tmp_path, capsys):
+        """A single model whose params.ntc payload has one bit flipped, here
+        the lowest mantissa byte of the first value, which stays finite, is
+        refused by its hash."""
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        blob = bytearray((model / "params.ntc").read_bytes())
+        blob[11] ^= 0x01  # 7 header bytes and one u32 dim, then the payload
+        (model / "params.ntc").write_bytes(bytes(blob))
+        assert np.isfinite(dm.read_container(model / "params.ntc")[0])
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert (f"{model / 'params.ntc'}: parameter hash mismatch with params.txt"
+                in capsys.readouterr().err)
+
+    def test_earlier_layout_names_the_missing_container(self, workspace, tmp_path, capsys):
+        """A directory of one .ntc file per parameter (no params.ntc, no hash
+        line) is a format error naming params.ntc, and is not read."""
+        model = tmp_path / "audio"
+        model.mkdir()
+        net = model_io.load_net(workspace / "audio")
+        shutil.copy(workspace / "audio" / "model.txt", model)
+        (model / "params.txt").write_text("".join(n + "\n" for n in net.params))
+        for name, value in net.params.items():
+            dm.write_container(model / (name.replace("/", "__") + ".ntc"), value)
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert (f"{model / 'params.ntc'}: missing; a directory of one .ntc file per "
+                "parameter is the earlier layout" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, target", [
         ("train", "data/manifest.csv"),
@@ -423,7 +460,8 @@ class TestTypedParseErrors:
         model_io.save_net(tmp_path / "audio", net)
         assert run(["eval", "--model-dir", str(tmp_path / "audio"),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
-        assert "dense2__b.ntc" in capsys.readouterr().err
+        assert (f"{tmp_path / 'audio' / 'params.ntc'}: non-finite values in dense2/b"
+                in capsys.readouterr().err)
 
     def test_load_draws_no_initialization(self, workspace, monkeypatch):
         """Loading builds the architecture without a random draw that the
@@ -532,30 +570,61 @@ class TestTypedParseErrors:
                     "--video", str(clip), "--audio", row.audio_path]) == 2
         assert "at least one frame" in capsys.readouterr().err
 
-    def test_interrupted_overwrite_does_not_load(self, workspace, tmp_path, monkeypatch,
-                                                 capsys):
-        """A save over an existing model that stops after some parameter
-        files leaves a directory that loads as neither model."""
-        model = tmp_path / "audio"
-        shutil.copytree(workspace / "audio", model)
-        net = model_io.load_net(model)
-        assert len(net.params) == 8
-        for p in net.params.values():
-            p += 1.0
-        written = []
+    @pytest.mark.parametrize("save, stop", [("save_net", k) for k in range(4)]
+                             + [("save_bundle", k) for k in range(11)])
+    def test_interrupted_save_loads_old_new_or_neither(self, workspace, tmp_path,
+                                                       monkeypatch, capsys, save, stop):
+        """A save over an existing model that stops after ``stop`` of its file
+        writes (3 for a model, 10 for a bundle) leaves a directory that loads
+        as the old model (no file replaced), as the new one (all replaced), or
+        not at all: a FormatError, exit 2 through the CLI; never as a mix.
+        Every file of the new model differs from the old one's.  The new
+        video net reads 8 frames, not 4, with the same parameter shapes, so
+        its model.txt alone does not change what params.ntc must hold."""
+        if save == "save_net":  # the models as 1-tuples of nets, as bundles are 3-tuples
+            target, writes, load = tmp_path / "video", 3, lambda d: (model_io.load_net(d),)
+            shutil.copytree(workspace / "video", target)
+            old = load(target)
+            new = (build_video_net(dataclasses.replace(old[0].config, input_shape=(1, 8, 16, 16)),
+                                   rng_seed=None),)
+            for name, p in new[0].params.items():
+                p[...] = old[0].params[name]
+        else:
+            target, writes, load = tmp_path / "bundle", 10, model_io.load_bundle
+            shutil.copytree(workspace / "bundle", target)
+            old, new = load(target), load(target)
+        for net in new:
+            for p in net.params.values():
+                p += 1.0
 
-        def failing_write(path, t):
-            if len(written) == 3:
+        def fingerprint(nets):
+            return [(getattr(net, "config", None), net.param_bytes()) for net in nets]
+
+        written, write = [], model_io._write
+
+        def stopping_write(path, *chunks):
+            if len(written) == stop:
                 raise OSError("No space left on device")
-            written.append(path)
-            dm.write_container(path, t)
+            written.append(path.name)
+            write(path, *chunks)
 
-        monkeypatch.setattr(model_io, "write_container", failing_write)
-        with pytest.raises(OSError):
-            model_io.save_net(model, net)
-        assert run(["eval", "--model-dir", str(model),
-                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
-        assert "params.txt" in capsys.readouterr().err
+        monkeypatch.setattr(model_io, "_write", stopping_write)
+        if stop < writes:
+            with pytest.raises(OSError):
+                getattr(model_io, save)(target, *new)
+        else:
+            getattr(model_io, save)(target, *new)
+        assert len(written) == min(stop, writes)
+        try:
+            got = fingerprint(load(target))
+            outcome = ("old" if got == fingerprint(old) else
+                       "new" if got == fingerprint(new) else "mix")
+        except FormatError:
+            outcome = "refused"
+            assert run(["eval", "--model-dir", str(target),
+                        "--data", str(workspace / "data" / "manifest.csv")]) == 2
+            assert str(target) in capsys.readouterr().err
+        assert outcome == ("old" if stop == 0 else "new" if stop == writes else "refused")
 
     @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (8, 16, 16)],
                              ids=["two_channels", "rank_3"])

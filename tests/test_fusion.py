@@ -10,6 +10,7 @@ from mdnn.errors import DimensionError, DomainError
 from mdnn.layers import Net
 from mdnn.trainer import TrainConfig, onehot, train_net
 from mdnn.video_net import TINY_VIDEO_CONFIG, build_video_net, video_forward
+from test_ops import activation_backward
 
 
 # dL/dp of each loss in fusion.LOSSES: the chain-rule oracle for the (p - y)/N
@@ -144,7 +145,7 @@ class TestLogitGradient:
             p = ops.activation(rng.normal(0.0, 3.0, (n, 2)), activation)
             p = np.clip(p, 1e-6, 1 - 1e-6)  # away from the clamp
             y = random_onehot(rng, n)
-            chain = ops.activation_backward(oracle(p, y), p, activation)
+            chain = activation_backward(oracle(p, y), p, activation)
             assert np.abs(chain - (p - y) / n).max() < 1e-12
 
     @pytest.mark.parametrize("kind, oracle", [("onehot", bce_backward),
@@ -173,7 +174,7 @@ class TestLogitGradient:
         order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
         p = forward(net)(xs[order], mode="train")
         dp = oracle(p, np.stack([train[i][1] for i in order]))
-        net.backward(ops.activation_backward(dp, p, net.output))
+        net.backward(activation_backward(dp, p, net.output))
         for name, g in net.grads.items():
             assert np.abs(trained.grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name
 

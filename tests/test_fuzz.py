@@ -9,7 +9,9 @@ derandomized, so every run tries the same inputs.
 Text files are mutated line by line and byte by byte.  A model file's bytes
 are replaced only with non-digits and its lines are never joined, so no
 number in it grows: a mutation cannot ask for a larger model than the one it
-started from.
+started from.  A mutated ``params.ntc`` can claim any dims, but a container
+is refused unless its payload is as long as they say, before any array of
+that size is made.
 """
 
 import dataclasses
@@ -118,11 +120,11 @@ def test_containers_with_any_dims(files, blob):
 # ----- WAV files and the audio input --------------------------------------------
 
 @st.composite
-def wav_mutations(draw, blob):
-    """``blob`` after 1-3 edits, half of them inside its 44-byte header:
-    replace one byte, write a u32, insert bytes, or truncate."""
+def binary_mutations(draw, blob, header):
+    """``blob`` after 1-3 edits, half of them inside its first ``header``
+    bytes: replace one byte, write a u32, insert bytes, or truncate."""
     for _ in range(draw(st.integers(1, 3))):
-        pos = draw(st.one_of(st.integers(0, 43), st.integers(0, len(blob))))
+        pos = draw(st.one_of(st.integers(0, header - 1), st.integers(0, len(blob))))
         kind = draw(st.sampled_from(["byte", "u32", "insert", "truncate"]))
         if kind == "byte":
             blob = blob[:pos] + bytes([draw(st.integers(0, 255))]) + blob[pos + 1:]
@@ -140,7 +142,7 @@ def wav_mutations(draw, blob):
 @given(data=st.data())
 def test_mutated_wav(files, data):
     path = files / "work" / "a.wav"
-    path.write_bytes(data.draw(wav_mutations((files / "tone.wav").read_bytes())))
+    path.write_bytes(data.draw(binary_mutations((files / "tone.wav").read_bytes(), 44)))
     feats = expect_typed(dm.audio_input, path, TINY_AUDIO_CONFIG.input_shape[0])
     if feats is not None:
         assert feats.shape == TINY_AUDIO_CONFIG.input_shape
@@ -236,21 +238,26 @@ def test_config_file(files, text):
 # model files are mutated with non-digits only, so no number in them grows
 NON_DIGITS = b" =x#\n-a._\xff"
 EXTRA_LINES = [b"kind=video", b"kind=fusion", b"extra=1", b"dense1_width=8",
-               b"stage_channels=4x8", b"input_shape=1x4x16", b"dense1__w", b"#"]
+               b"stage_channels=4x8", b"input_shape=1x4x16", b"dense1__w", b"#",
+               b"dense1/w", b"sha256=", b"sha256=00"]
 
 
 def mutated_copy(files, part, name, data):
-    """The bundle copied into the work directory, with ``part/name`` mutated."""
+    """The bundle copied into the work directory, with ``part/name`` mutated:
+    a container byte by byte (its header is 11 bytes), a text file line by
+    line."""
     work = files / "work" / "bundle"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(files / "bundle", work)
     target = work / part / name
-    target.write_bytes(data.draw(line_mutations(target.read_bytes(), NON_DIGITS, EXTRA_LINES)))
+    blob = target.read_bytes()
+    target.write_bytes(data.draw(binary_mutations(blob, 11) if name.endswith(".ntc")
+                                 else line_mutations(blob, NON_DIGITS, EXTRA_LINES)))
     return work
 
 
-@settings(FUZZ, max_examples=50)
-@given(name=st.sampled_from(["model.txt", "params.txt"]), data=st.data())
+@settings(FUZZ, max_examples=75)
+@given(name=st.sampled_from(["model.txt", "params.txt", "params.ntc"]), data=st.data())
 def test_mutated_model_directory(files, name, data):
     model = mutated_copy(files, "audio", name, data) / "audio"
     net = expect_typed(model_io.load_net, model)
@@ -258,9 +265,9 @@ def test_mutated_model_directory(files, name, data):
     assert code == (0 if net is not None else 2)
 
 
-@settings(FUZZ, max_examples=50)
+@settings(FUZZ, max_examples=75)
 @given(where=st.sampled_from([(".", "bundle.txt"), ("video", "model.txt"),
-                              ("fusion", "params.txt")]),
+                              ("fusion", "params.txt"), ("audio", "params.ntc")]),
        data=st.data())
 def test_mutated_bundle(files, where, data):
     bundle = mutated_copy(files, *where, data)

@@ -7,7 +7,7 @@ from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                             AudioNetConfig, audio_forward, build_audio_net)
 from mdnn.errors import ConfigError, DimensionError
-from mdnn.layers import Activation, Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
+from mdnn.layers import Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
                             video_forward)
@@ -78,7 +78,7 @@ class TestConv2Plus1D:
     @pytest.mark.parametrize("c", [1, 8, 64])
     def test_weight_counts_12c2_vs_27c2(self, c):
         layer = Conv2Plus1D(c, c)
-        assert layer.factored_weight_count() == 12 * c * c
+        assert layer.params["ws"].size + layer.params["wt"].size == 12 * c * c
         assert layer.full3d_weight_count() == 27 * c * c
 
     # (ts, ss): the oracle's temporal and spatial strides, equal because a
@@ -228,10 +228,10 @@ class TestVideoNet:
 ], ids=["audio", "video", "fusion"])
 def test_nets_end_at_the_logits(build, shape, output):
     """The output activation is the net's ``output``, not a layer: ``forward``
-    stops at the logits and ``predict`` applies the activation, bit for bit."""
+    stops at the logits of the last Dense layer (the only activation layer
+    is ``ReLU``), and ``predict`` applies the activation, bit for bit."""
     net = build()
     assert net.output == output
-    assert not any(isinstance(layer, Activation) and layer.kind != "relu"
-                   for _, layer in net.layers)
+    assert isinstance(net.layers[-1][1], Dense)
     x = np.random.default_rng(3).standard_normal(shape)
     assert np.array_equal(net.predict(x), ops.activation(net.forward(x), net.output))

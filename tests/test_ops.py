@@ -7,8 +7,8 @@ import pytest
 
 from mdnn import ops
 from mdnn.errors import DimensionError, ParameterError
-from mdnn.layers import (Activation, Conv2D, Conv2Plus1D, Dense, Dropout,
-                         Flatten, GlobalAvgPool, Layer, Net)
+from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, Flatten, GlobalAvgPool,
+                         Layer, Net, ReLU)
 from mdnn.ops import ConvSpec
 
 # id -> (spec, image H x W): geometries the lowered convolution must get
@@ -136,6 +136,32 @@ class TestConv2dBackward:
         assert report["ok"], report
 
 
+def activation_backward(grad_out, y, kind):
+    """Oracle gradient of ``ops.activation(x, kind)`` from its output ``y``,
+    for the output activations: a sigmoid's Jacobian is y(1 - y), a last-axis
+    softmax's diag(y) - y y^T."""
+    if kind == "sigmoid":
+        return grad_out * y * (1.0 - y)
+    assert kind == "softmax_lastdim", kind
+    return y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
+
+
+class OutputActivation(Layer):
+    """An output activation (``Net.output``) as a layer, so that finite
+    differences can check its oracle gradient."""
+
+    def __init__(self, kind):
+        super().__init__()
+        self.kind = kind
+
+    def forward(self, x, mode="eval"):
+        self._y = ops.activation(x, self.kind)
+        return self._y
+
+    def backward(self, grad_out):
+        return activation_backward(grad_out, self._y, self.kind)
+
+
 class TestActivations:
     def test_relu_values(self):
         y = ops.activation(np.array([-1.0, 2.0]), "relu")
@@ -164,7 +190,7 @@ class TestActivations:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax_lastdim"])
     def test_backward_finite_differences(self, kind):
         rng = np.random.default_rng(8)
-        net = Net([("a", Activation(kind))])
+        net = Net([("a", ReLU() if kind == "relu" else OutputActivation(kind))])
         # keep relu inputs away from the kink
         x = rng.standard_normal(12)
         x = np.where(np.abs(x) < 1e-2, 0.5, x)
@@ -232,14 +258,14 @@ class TestGlobalAvgPool:
 class TestGradientCheck:
     def test_dense_sigmoid(self):
         rng = np.random.default_rng(10)
-        net = Net([("d", Dense(6, 3)), ("s", Activation("sigmoid"))])
+        net = Net([("d", Dense(6, 3)), ("s", OutputActivation("sigmoid"))])
         net.init_params(11)
         net.jitter(12)
         report = ops.gradient_check(net, rng.standard_normal(6))
         assert report["max_rel_err"] < 1e-5
 
     def test_relu_inactive_side_exact_zero(self):
-        net = Net([("r", Activation("relu"))])
+        net = Net([("r", ReLU())])
         net.forward(np.array([-1.0, -2.0]))
         g = net.backward(np.ones(2))
         assert np.array_equal(g, [0.0, 0.0])
