@@ -35,10 +35,12 @@ def container_header(shape) -> bytes:
 
 
 def write_container(path, t: np.ndarray):
-    t = np.asarray(t, dtype=np.float64)  # 0-d stays rank 0; tobytes is C-order
+    # 0-d stays rank 0; a C-order little-endian float64 array is written from
+    # its own buffer, any other is converted once
+    t = np.asarray(t, dtype="<f8", order="C")
     with open(path, "wb") as f:
         f.write(container_header(t.shape))
-        f.write(t.astype("<f8").tobytes())
+        f.write(t)
 
 
 def read_container(path) -> np.ndarray:
@@ -133,8 +135,8 @@ def video_input(path, shape: tuple[int, int, int, int]) -> np.ndarray:
 def audio_input(path, n_frames: int) -> np.ndarray:
     """A WAV file as an (n_frames, 13, 1) audio network input: the clip cut or
     padded to the reference length, then the MFCC of ``n_frames`` of its
-    ``dsp.REFERENCE_FRAMES`` frames, picked uniformly; only the picked frames
-    are windowed and transformed."""
+    ``dsp.REFERENCE_FRAMES`` frames, picked uniformly; every MFCC stage runs on
+    the picked frames alone, and each equals its all-frames row bit for bit."""
     clip = preprocess_audio(dsp.load_wav(path))
     return dsp.mfcc(clip, uniform_indices(dsp.REFERENCE_FRAMES, n_frames))
 

@@ -10,7 +10,10 @@ matrix are built once at import:
   - real FFT (``np.fft.rfft``), one-sided 513 bins; a direct O(N^2) DFT stays
     in the module as the comparison oracle;
   - 80 triangular HTK-mel filters from 0 to 8000 Hz, peak-normalized to 1;
-  - log floor 1e-10, orthonormal DCT-II, first 13 coefficients kept.
+  - log floor 1e-10, orthonormal DCT-II, first 13 coefficients kept;
+  - the mel and DCT stages are sums in a fixed order, not matrix products, so
+    a frame's MFCC bytes depend on neither the frames computed with it nor
+    the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -163,30 +166,55 @@ def dct2_matrix(n: int = N_MEL_FILTERS) -> np.ndarray:
     return d
 
 
+def _mel_terms(bank: np.ndarray):
+    """The mel bank as terms to add in a fixed order.  A band's nonzero
+    weights sit on contiguous bins; term k of band b is the bin first[b] + k.
+    For each ``(band0, start, stop)`` in ``order``, ``bins[start:stop]`` and
+    ``weights[start:stop]`` hold term k of the bands from band0, the first band
+    more than k bins wide, to the last.  Bands widen with frequency, so these
+    are nearly all the bands that have a term k; the few others get weight 0,
+    which adds +0.0 to a non-negative sum and changes no bit."""
+    nonzero = bank > 0
+    first, width = nonzero.argmax(axis=1), nonzero.sum(axis=1)
+    bands = [np.arange(np.argmax(width > k), N_MEL_FILTERS) for k in range(width.max())]
+    bins = np.concatenate([first[b] + k for k, b in enumerate(bands)])
+    stops = np.cumsum([b.size for b in bands])
+    order = [(int(b[0]), int(stop - b.size), int(stop)) for b, stop in zip(bands, stops)]
+    return bins, bank[np.concatenate(bands), bins][:, None], order
+
+
 _HANN = hann_window()
-_MEL80 = build_mel_bank()
+_MEL_BINS, _MEL_WEIGHTS, _MEL_ORDER = _mel_terms(build_mel_bank())
 _DCT80 = dct2_matrix(N_MEL_FILTERS)
 
 
-def dct2_ortho(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of a length-80 vector (or batch over the last axis)."""
+def dct2_ortho(x: np.ndarray, n_out: int = N_MEL_FILTERS) -> np.ndarray:
+    """The first ``n_out`` coefficients of the orthonormal DCT-II of a
+    length-80 vector (or batch over the last axis).  Each coefficient adds its
+    80 terms in ascending order, so its bits do not depend on the batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != N_MEL_FILTERS:
         raise DimensionError(f"expected length {N_MEL_FILTERS}, got {x.shape[-1]}")
-    return x @ _DCT80.T
+    x = np.moveaxis(x, -1, 0)  # (80, ...)
+    columns = _DCT80[:n_out].T.reshape((N_MEL_FILTERS, n_out) + (1,) * (x.ndim - 1))
+    y = np.zeros((n_out,) + x.shape[1:])
+    term = np.empty_like(y)
+    for m in range(N_MEL_FILTERS):
+        y += np.multiply(columns[m], x[m], out=term)
+    return np.moveaxis(y, 0, -1)
 
 
 def mfcc(clip: AudioClip, frames=slice(None)) -> np.ndarray:
     """Full pipeline -> (n_frames, 13, 1); (778, 13, 1) at the reference length.
-    Only the ``frames`` selected as in ``frame_and_window`` go through the FFT.
-    Their power spectra sit in their own rows of an all-frames matrix, zero
-    elsewhere, so the mel and DCT products keep the all-frames shape.  A BLAS
-    picks its kernel and summation order by shape and thread count, not by
-    values, so each selected frame equals its all-frames row bit for bit.
-    The result owns its values, not the 80-wide DCT output."""
-    picked = power_spectrogram(frame_and_window(clip, frames))
-    power = np.zeros(((np.size(clip.samples) - WINDOW_LEN) // HOP + 1, N_BINS))
-    power[frames] = picked
-    mel = power @ _MEL80.T
+    Every stage runs on the ``frames`` selected as in ``frame_and_window``
+    alone.  The mel and DCT stages add their terms in a fixed order, so each
+    selected frame equals its all-frames row bit for bit, at any BLAS thread
+    count.  The result owns its values."""
+    power = power_spectrogram(frame_and_window(clip, frames))
+    terms = power.T[_MEL_BINS]  # (terms, n_frames)
+    terms *= _MEL_WEIGHTS
+    mel = np.zeros((N_MEL_FILTERS, power.shape[0]))
+    for band0, start, stop in _MEL_ORDER:
+        mel[band0:] += terms[start:stop]
     logmel = np.log(mel + LOG_FLOOR)
-    return dct2_ortho(logmel)[frames, :N_MFCC, None].copy()
+    return dct2_ortho(logmel.T, N_MFCC)[:, :, None].copy()

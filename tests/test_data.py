@@ -62,10 +62,34 @@ class TestContainer:
         assert np.array_equal(back, t)
         assert peak < 2.1 * t.nbytes
 
+    def test_write_copies_nothing(self, tmp_path):
+        """A float64 C-order array is written from its own buffer."""
+        t = np.random.default_rng(0).standard_normal((512, 1024))  # 4 MiB
+        p = tmp_path / "big.ntc"
+        tracemalloc.start()
+        try:
+            dm.write_container(p, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * t.nbytes
+        assert p.read_bytes() == dm.container_header(t.shape) + t.tobytes()
+
+    @pytest.mark.parametrize("make", [lambda t: t.T, lambda t: t.astype(">f8"),
+                                      lambda t: t.astype(np.float32)],
+                             ids=["transposed", "big_endian", "float32"])
+    def test_write_converts_other_layouts(self, tmp_path, make):
+        t = make(np.random.default_rng(0).standard_normal((3, 5)))
+        p = tmp_path / "t.ntc"
+        dm.write_container(p, t)
+        back = dm.read_container(p)
+        assert back.shape == t.shape
+        assert back.tobytes() == np.ascontiguousarray(t, dtype=np.float64).tobytes()
+
 
 class TestAudioInput:
-    """``audio_input`` windows and transforms only the frames the net reads;
-    each is the frame of the all-frames MFCC."""
+    """``audio_input`` runs every MFCC stage on the frames the net reads alone;
+    each is the frame of the all-frames MFCC, bit for bit."""
 
     @pytest.fixture(scope="class", params=[120_000, 260_000], ids=["short", "long"])
     def wav(self, request, tmp_path_factory):
@@ -79,8 +103,8 @@ class TestAudioInput:
 
     @pytest.mark.parametrize("n", [1, 2, 16, 389, 777, 778])
     def test_bitwise_the_subsampled_all_frames_mfcc(self, wav, n):
-        """Also below the row count at which a BLAS switches to a small-matrix
-        kernel: the mel and DCT products keep the all-frames shape."""
+        """Also at 1 and 2 frames: the mel and DCT stages add their terms in
+        an order that does not depend on the frame count."""
         path, full = wav
         got = dm.audio_input(path, n)
         assert got.shape == (n, 13, 1)

@@ -1,6 +1,12 @@
 """MFCC front-end tests against hand-built fixtures and the direct DFT oracle."""
 
+import functools
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdnn import dsp
+from mdnn.data import uniform_indices
 from mdnn.errors import DimensionError, InputError, UnsupportedFormatError
 
 
@@ -193,6 +200,35 @@ class TestDct:
         with pytest.raises(DimensionError):
             dsp.dct2_ortho(np.zeros(64))
 
+    def test_leading_coefficients_bitwise(self):
+        """Each coefficient is its own sum: keeping fewer moves no bit, and
+        neither does the batch a vector is in."""
+        x = np.random.default_rng(9).standard_normal((5, 80))
+        full = dsp.dct2_ortho(x)
+        assert dsp.dct2_ortho(x, 13).tobytes() == full[:, :13].copy().tobytes()
+        assert dsp.dct2_ortho(x[3]).tobytes() == full[3].tobytes()
+        assert np.abs(full - x @ dsp.dct2_matrix().T).max() < 1e-12
+
+
+def reference_mfcc(x: np.ndarray) -> np.ndarray:
+    """All frames' MFCC as dense products of the direct DFT, the mel bank and
+    the DCT matrix."""
+    n = (x.size - 1024) // 256 + 1
+    frames = x[np.arange(n)[:, None] * 256 + np.arange(1024)] * dsp.hann_window()
+    spec = dsp.dft_direct(frames)
+    logmel = np.log((spec.real ** 2 + spec.imag ** 2) @ dsp.build_mel_bank().T + 1e-10)
+    return (logmel @ dsp.dct2_matrix()[:13].T)[:, :, None]
+
+
+SUBSET_CLIP = dsp.AudioClip(samples=np.random.default_rng(10).uniform(-1.0, 1.0, 60_000))
+SUBSET_CLIP_FRAMES = 231
+
+
+@functools.cache
+def subset_clip_mfcc() -> np.ndarray:
+    """The all-frames MFCC that every frame subset must reproduce."""
+    return dsp.mfcc(SUBSET_CLIP)
+
 
 class TestMfcc:
     def test_reference_shape(self):
@@ -218,3 +254,45 @@ class TestMfcc:
         a = dsp.mfcc(dsp.AudioClip(samples=x))
         b = dsp.mfcc(dsp.AudioClip(samples=x.copy()))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("frames", [slice(None), [15, 0, 7, 7, 3]], ids=["all", "subset"])
+    def test_vs_dense_oracle(self, frames):
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, 5000)  # 16 frames
+        want = reference_mfcc(x)[frames]
+        got = dsp.mfcc(dsp.AudioClip(samples=x), frames)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @given(st.lists(st.integers(0, SUBSET_CLIP_FRAMES - 1), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_frame_subset_bitwise(self, idx):
+        """Any index array, unsorted or repeated too, gives the all-frames
+        rows bit for bit."""
+        got = dsp.mfcc(SUBSET_CLIP, np.array(idx, dtype=np.int64))
+        assert got.tobytes() == subset_clip_mfcc()[idx].tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        code = ("import hashlib, numpy as np; from mdnn import dsp; "
+                "c = dsp.AudioClip(samples=np.random.default_rng(7).uniform(-1, 1, 199936)); "
+                "print(hashlib.sha256(dsp.mfcc(c).tobytes() "
+                "+ dsp.mfcc(c, [777, 5, 5, 0]).tobytes()).hexdigest())")
+        src = str(Path(dsp.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env=dict(os.environ, PYTHONPATH=path,
+                                                    OPENBLAS_NUM_THREADS=n)).stdout
+                for n in ("1", "2")]
+        assert len(outs[0]) == 65 and outs[0] == outs[1]
+
+    def test_sixteen_frames_peak_under_1_mb(self):
+        """No all-frames buffer: the 778 x 513 power matrix alone is 3.2 MB."""
+        clip = dsp.AudioClip(samples=np.random.default_rng(8).uniform(-1.0, 1.0, 199936))
+        idx = uniform_indices(dsp.REFERENCE_FRAMES, 16)
+        tracemalloc.start()
+        try:
+            out = dsp.mfcc(clip, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (16, 13, 1)
+        assert peak < 1_000_000

@@ -3,13 +3,11 @@ are pinned to the values recorded before the residual-block namespace and the
 config codec were refactored, so a change to either cannot move them; the tiny
 forward outputs were re-pinned once since, from the code that lowers only the
 kernel-width axis of a convolution, whose summation order moved one audio
-output by 8 ulps.  MFCC features and preprocessed video clips of seeded inputs
-are pinned to the values recorded before the MFCC front-end's geometry became
-fixed and the video resize became one call over all frames.
-
-The MFCC pins hold when OpenBLAS runs on 2 or 4 threads (CI sets
-OPENBLAS_NUM_THREADS=2): single-threaded, the ``power @ _MEL80.T`` GEMM rounds
-differently and the 5,000-, 60,000- and 199,936-sample pins fail."""
+output by 8 ulps.  Preprocessed video clips of seeded inputs are pinned to the
+values recorded before the video resize became one call over all frames.  MFCC
+features of seeded inputs are pinned to the values of the MFCC whose mel and
+DCT stages add their terms in a fixed order; they hold at any BLAS thread
+count."""
 
 import hashlib
 
@@ -63,10 +61,10 @@ FORWARD = {
 
 # samples -> SHA-256 of the MFCC bytes of uniform(-1, 1) noise seeded by its length
 MFCC_SHA256 = {
-    1024: "998a496084c2f20d6d10c2248ce88cde8946bc5aa966f1de01335e725396fd2e",
-    5000: "0cac8e1ed9212f33795865b79ccc913cf9c726dee8257eb16ca28bd43d00b741",
-    60000: "1eddd6e41f812778be2332565862f61c4716d11141636f4246b54ccb094faedc",
-    199936: "d5637b9b4bbcf7fb9b1b716d5a7d098ec932b6be4b78a0a9269f5c536b9fe879",
+    1024: "cc582a77bd97dd62e921e4424d80aace0480b9ff47bc1666b017d3879f584ca3",
+    5000: "f2cc1c2cc201feaee0e3ebe43cfe39cd55c605683a8fe0526b10eb1d944ba26a",
+    60000: "d9d5f0294d532f370c72c81479d73da2058a3c73a828a5de696141c6cd609c41",
+    199936: "4a59ef17f6e6a664ac81fbef5d095a8d4ecd3317bf13628997767863231f6460",
 }
 
 # (source shape, target shape) -> SHA-256 of preprocess_video on uniform(-0.25,
