@@ -1,6 +1,5 @@
 """MFCC front-end tests against hand-built fixtures and the direct DFT oracle."""
 
-import functools
 import os
 import struct
 import subprocess
@@ -220,14 +219,11 @@ def reference_mfcc(x: np.ndarray) -> np.ndarray:
     return (logmel @ dsp.dct2_matrix()[:13].T)[:, :, None]
 
 
-SUBSET_CLIP = dsp.AudioClip(samples=np.random.default_rng(10).uniform(-1.0, 1.0, 60_000))
-SUBSET_CLIP_FRAMES = 231
-
-
-@functools.cache
-def subset_clip_mfcc() -> np.ndarray:
-    """The all-frames MFCC that every frame subset must reproduce."""
-    return dsp.mfcc(SUBSET_CLIP)
+@pytest.fixture(scope="module")
+def noise_clip_and_mfcc():
+    """A 60,000-sample clip (231 frames) and its all-frames MFCC."""
+    clip = dsp.AudioClip(samples=np.random.default_rng(10).uniform(-1.0, 1.0, 60_000))
+    return clip, dsp.mfcc(clip)
 
 
 class TestMfcc:
@@ -263,13 +259,14 @@ class TestMfcc:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
-    @given(st.lists(st.integers(0, SUBSET_CLIP_FRAMES - 1), max_size=40))
+    @given(idx=st.lists(st.integers(0, 230), max_size=40))
     @settings(max_examples=60, deadline=None)
-    def test_frame_subset_bitwise(self, idx):
+    def test_frame_subset_bitwise(self, noise_clip_and_mfcc, idx):
         """Any index array, unsorted or repeated too, gives the all-frames
         rows bit for bit."""
-        got = dsp.mfcc(SUBSET_CLIP, np.array(idx, dtype=np.int64))
-        assert got.tobytes() == subset_clip_mfcc()[idx].tobytes()
+        clip, full = noise_clip_and_mfcc
+        got = dsp.mfcc(clip, np.array(idx, dtype=np.int64))
+        assert got.tobytes() == full[idx].tobytes()
 
     def test_bits_do_not_depend_on_blas_threads(self):
         code = ("import hashlib, numpy as np; from mdnn import dsp; "
