@@ -7,7 +7,12 @@ output by 8 ulps.  Preprocessed video clips of seeded inputs are pinned to the
 values recorded before the video resize became one call over all frames.  MFCC
 features of seeded inputs are pinned to the values of the MFCC whose mel and
 DCT stages add their terms in a fixed order; they hold at any BLAS thread
-count."""
+count.  Two seeded epochs of tiny training of each net (the video net, the
+audio net with its dropout on, and the fusion head on the two trained nets'
+outputs) are pinned, parameters and epoch losses, to the values recorded
+before ``Net`` took its input shape at construction; they hold at 1 and 2 BLAS
+threads.  The paper-scale nets are left out: their forward and training bits
+change with the BLAS thread count."""
 
 import hashlib
 
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 from mdnn import data as dm
-from mdnn import dsp, model_io
+from mdnn import dsp, model_io, trainer
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, AudioNetConfig,
                             audio_forward, build_audio_net)
 from mdnn.fusion import build_fusion_head, fused_forward
@@ -57,6 +62,16 @@ FORWARD = {
     "video": ["0x1.0bc75435d4344p-1", "0x1.e871579457978p-2"],
     "audio": ["0x1.960eef7fa2264p-2", "0x1.c8ccd48b0968ap-1"],
     "fused": ["0x1.0442af14dc04ap-3", "0x1.beef543ac8feep-1"],
+}
+
+# net -> (param_sha256 after two epochs, float.hex() of each epoch's train loss)
+TRAINED = {
+    "video": ("0ddf73ea56e3980a3ac21cac1c1ed34393fce067532750a08877ac26910adc0d",
+              ["0x1.5d491646c02e4p-1", "0x1.5a0cfe9d107d6p-1"]),
+    "audio": ("d9b0f9335a5308669d838d3f53f7411f4c0b967374a132b421ec24e43966d986",
+              ["0x1.ff64382f6b92fp+0", "0x1.7b556c55f70d4p+0"]),
+    "fusion": ("6ad5e56a30be4afbf936e43dc64a2a43398b8348531bc4a545806b0e488a03c1",
+               ["0x1.b218a4ca26942p-1", "0x1.ab452d5d97206p-1"]),
 }
 
 # samples -> SHA-256 of the MFCC bytes of uniform(-1, 1) noise seeded by its length
@@ -126,3 +141,25 @@ def test_preprocess_video_bitwise(src, dst):
     out = dm.preprocess_video(x, dst)
     assert out.shape == dst
     assert _sha256(out) == VIDEO_SHA256[(src, dst)]
+
+
+def test_seeded_tiny_training_bitwise(tmp_path):
+    rows = dm.read_manifest(dm.synth_dataset(5, "separable", 21, tmp_path))
+    train_rows, val_rows, _ = [[rows[i] for i in part]
+                               for part in trainer.split_dataset(len(rows))]
+    cfg = trainer.TrainConfig(epochs=2, batch_size=4, rng_seed=3)
+    vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=3)
+    anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=3)
+    fnet = build_fusion_head(rng_seed=3)
+    runs = {
+        "video": (vnet, lambda part: trainer.video_features(part, TINY_VIDEO_CONFIG), None),
+        "audio": (anet, lambda part: trainer.audio_features(part, TINY_AUDIO_CONFIG),
+                  lambda x, mode="eval": audio_forward(anet, x, mode)),
+        "fusion": (fnet, lambda part: trainer.fusion_features(part, vnet, anet), None),
+    }
+    got = {}
+    for name, (net, features, forward) in runs.items():  # in training order
+        sets = [trainer.paired(features(part), part) for part in (train_rows, val_rows)]
+        logs = trainer.train_net(net, *sets, cfg, forward_fn=forward)
+        got[name] = (model_io.param_sha256(net), [log.train_loss.hex() for log in logs])
+    assert got == TRAINED
