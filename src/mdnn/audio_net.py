@@ -65,6 +65,7 @@ GRADCHECK_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1),
 def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | None = 0) -> Net:
     config.validate()
     kh, kw = config.kernel
+    frames, coeffs, _ = config.input_shape
     f = config.conv_filters
     net = Net([
         ("conv1", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", 1, f))),
@@ -76,7 +77,7 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
         ("relu3", ReLU()),
         ("dense2", Dense(config.dense1_width, config.num_classes)),
-    ], output="sigmoid")
+    ], (1, frames, coeffs), output="sigmoid")
     net.config = config
     net.init_params(rng_seed)
     return net
@@ -86,8 +87,7 @@ def audio_forward(net: Net, mfcc: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Run the classifier on one (frames, 13, 1) MFCC matrix -> 2 probabilities,
     or on an N x frames x 13 x 1 batch of them -> N x 2 probabilities in one pass."""
     mfcc = np.asarray(mfcc, dtype=np.float64)
-    frames, coeffs, _ = net.config.input_shape
     if mfcc.shape[-3:] != net.config.input_shape:
         raise DimensionError(f"mfcc shape {mfcc.shape} != expected {net.config.input_shape}")
     # each (frames, 13, 1) matrix is the net's one-channel (1, frames, 13) image
-    return net.run(np.moveaxis(mfcc, -1, -3), (1, frames, coeffs), mode)
+    return net.run(np.moveaxis(mfcc, -1, -3), mode)

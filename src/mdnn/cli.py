@@ -21,7 +21,7 @@ from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                         AudioNetConfig, audio_forward, build_audio_net)
 from .errors import (ConfigError, DomainError, FormatError, GradientCheckError,
                      InputError, MdnnError, TrainingError)
-from .fusion import CONCAT_ORDER, FUSION_INPUT_DIM, build_fusion_head
+from .fusion import CONCAT_ORDER, build_fusion_head
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
@@ -93,15 +93,16 @@ def _load_split(args, rows):
 def _task(kind: str, net, frozen=None):
     """(features(rows), forward(xs, mode)) for a model of ``kind``; forward
     takes an N x ... batch, as ``train_net`` and ``evaluate`` pass it, and
-    returns the net's probabilities (``Net.predict``).  ``frozen`` is the
-    (video, audio) pair whose outputs a fusion head reads."""
+    returns the net's probabilities through ``Net.run``, which checks the
+    batch's sample shape (a fusion head's forward is its ``Net.run`` itself).
+    ``frozen`` is the (video, audio) pair whose outputs a fusion head reads."""
     if kind == "video":
         return ((lambda rows: trainer.video_features(rows, net.config)),
                 lambda x, mode="eval": video_forward(net, x, mode))
     if kind == "audio":
         return ((lambda rows: trainer.audio_features(rows, net.config)),
                 lambda x, mode="eval": audio_forward(net, x, mode))
-    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.predict
+    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.run
 
 
 def cmd_train(args) -> int:
@@ -161,7 +162,7 @@ def cmd_predict(args) -> int:
     vnet, anet, fnet = model_io.load_bundle(args.model_dir)
     # the eval path's features of one row; its label is not read
     x, = trainer.fusion_features([datamod.ManifestRow(args.video, args.audio, 0)], vnet, anet)
-    p = fnet.run(x, (FUSION_INPUT_DIM,))
+    p = fnet.run(x)
     label = int(np.argmax(p))
     yv, ya = x[:2], x[2:]
     print(f"label: {label} ({'positive' if label == 1 else 'negative'})")
@@ -186,13 +187,13 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(7)
     if args.model == "audio":
         net = build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=1)
-        x = rng.standard_normal((1,) + GRADCHECK_AUDIO_CONFIG.input_shape[:2])
+        x = rng.standard_normal(net.input_shape)
     elif args.model == "video":
         net = build_video_net(GRADCHECK_VIDEO_CONFIG, rng_seed=1)
-        x = rng.random(GRADCHECK_VIDEO_CONFIG.input_shape)
+        x = rng.random(net.input_shape)
     else:
         net = build_fusion_head(rng_seed=1)
-        x = rng.uniform(0.05, 0.95, 4)
+        x = rng.uniform(0.05, 0.95, net.input_shape)
     net.jitter(11)
     report = gradient_check(net, x, tolerance=1e-4)
     for name, err in report["per_tensor"].items():

@@ -28,7 +28,7 @@ def build_fusion_head(rng_seed: int | None = 0) -> Net:
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
         ("relu", ReLU()),
         ("dense2", Dense(FUSION_HIDDEN_DIM, 2)),
-    ], output="softmax_lastdim")
+    ], (FUSION_INPUT_DIM,), output="softmax_lastdim")
     net.init_params(rng_seed)
     return net
 
@@ -89,4 +89,4 @@ def fused_forward(video_net: Net, audio_net: Net, fusion_net: Net,
     if yv.shape[:-1] != ya.shape[:-1]:
         raise DimensionError(f"video outputs {yv.shape} and audio outputs {ya.shape} "
                              "differ in their leading (batch) axes")
-    return fusion_net.run(np.concatenate([yv, ya], axis=-1), (FUSION_INPUT_DIM,))
+    return fusion_net.run(np.concatenate([yv, ya], axis=-1))

@@ -4,21 +4,22 @@ Every layer, ``Net`` included, is batch-first: ``forward`` takes an N x ...
 batch, ``backward`` the gradient of the whole batch's output, and the
 parameter gradients are summed over the batch.  A ``Net``'s ``forward`` and
 ``backward``, the one path of training and inference, run from the input to
-the logits and back; ``Net.predict`` applies the net's output activation
-(softmax or sigmoid) to them, and ``Net.run`` predicts any leading axes in
-front of a sample as the batch, so one sample runs as the N=1 batch.
+the logits and back.  ``Net.run`` is the one way to a net's probabilities: it
+checks that an input ends in the net's ``input_shape``, runs any leading axes
+in front of it as the batch (one sample as the N=1 batch) and applies the
+net's output activation (softmax or sigmoid).
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
 (``init_params``, the backward, ``model_io.load_net`` and Adam), so any
 reference to one of these arrays stays valid for the layer's life.  Each
 backward writes its parameter gradients, overwriting the last call's.  A
-``Composite`` (a ``Net``, or a residual block inside one) is a layer whose
-``params`` and ``grads`` are plain dicts, built once, holding its children's
-own arrays under one ordered namespace (the serialization order); a
-``Conv2Plus1D`` holds its two ``Conv2D`` factors' arrays the same way.  Forward
-passes save whatever the matching backward pass needs; ``backward`` must be
-called in exact reverse order of ``forward``, which ``Net`` guarantees.
+``Composite`` (a ``Net``, a residual block inside one, or a ``Conv2Plus1D``
+over its two ``Conv2D`` factors) is a layer whose ``params`` and ``grads`` are
+plain dicts, built once, holding its children's own arrays under one ordered
+namespace (the serialization order).  Forward passes save whatever the
+matching backward pass needs; ``backward`` must be called in exact reverse
+order of ``forward``, which ``Net`` guarantees.
 """
 
 from __future__ import annotations
@@ -181,62 +182,6 @@ class GlobalAvgPool(Layer):
                                self._shape) / count
 
 
-class Conv2Plus1D(Layer):
-    """Factorized space-time convolution on N x C x T x H x W.
-
-    A 2-D spatial convolution of every frame (in -> out channels), a ReLU,
-    then a 1-D temporal convolution of every pixel (out -> out channels); the
-    pair strides T, H and W by ``stride``.  The kernels are 3x3
-    (``spatial_kernel``) and 3 (``temporal_kernel``), so a pair with equal
-    channels c stores 9c^2 + 3c^2 = 12c^2 weights versus 27c^2 for the
-    unfactorized kernel.  Both factors use "same" padding.  Each factor is
-    one ``Conv2D`` over the whole batch: the spatial factor over its N x T
-    frames, the temporal factor over its N samples, each a T x (H*W) image
-    whose lowered matrix is the padded image itself (kernel width 1).
-    ``params`` and ``grads`` hold the factors' own arrays as ``ws, bs``
-    (spatial) and ``wt, bt`` (temporal).
-    """
-
-    spatial_kernel, temporal_kernel = (3, 3), 3
-
-    def __init__(self, in_channels: int, out_channels: int, stride=1):
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.spatial = Conv2D(ConvSpec(*self.spatial_kernel, (stride, stride), "same",
-                                       in_channels, out_channels))
-        self.temporal = Conv2D(ConvSpec(self.temporal_kernel, 1, (stride, 1), "same",
-                                        out_channels, out_channels))
-        factors = (("s", self.spatial), ("t", self.temporal))
-        self.params = {p + f: conv.params[p] for f, conv in factors for p in ("w", "b")}
-        self.grads = {p + f: conv.grads[p] for f, conv in factors for p in ("w", "b")}
-        self.weight_names = {"ws", "wt"}
-
-    def init_params(self, rng):
-        self.spatial.init_params(rng)
-        self.temporal.init_params(rng)
-
-    def forward(self, x, mode="eval"):
-        if x.ndim != 5 or x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
-        # frames as N x T x C x H x W views; the spatial output is channel-major
-        mid = self.spatial.forward(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
-        self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
-        n, c, tt, hh, ww = self._act.shape
-        # each sample's pixels are the columns of one T x (H'*W') image
-        out = self.temporal.forward(self._act.reshape(n, c, tt, hh * ww))
-        return out.reshape(n, out.shape[1], out.shape[2], hh, ww)
-
-    def backward(self, grad_out):
-        n, c, tt, hh, ww = self._act.shape
-        gflat = self.temporal.backward(grad_out.reshape(grad_out.shape[:3] + (hh * ww,)))
-        gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
-        return self.spatial.backward(gmid.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
-
-    def full3d_weight_count(self) -> int:
-        kh, kw = self.spatial_kernel
-        return self.temporal_kernel * kh * kw * self.in_channels * self.out_channels
-
-
 class Projection(Layer):
     """Residual shortcut: a 1x1x1 channel projection of N x C x T x H x W, striding T, H, W."""
 
@@ -267,22 +212,23 @@ class Projection(Layer):
 class Composite(Layer):
     """Named child layers whose parameters form one ordered namespace.
 
-    A child's parameter ``p`` and its gradient are entered as
-    ``<child><SEP><p>`` in ``params`` and ``grads``, built once here; the
-    entries are the child's own arrays, which are only ever written in place,
-    so the namespace never needs re-syncing.
+    A child's parameter and its gradient are entered under the class's
+    ``KEY`` rule in ``params`` and ``grads``, built once here; the entries
+    are the child's own arrays, which are only ever written in place, so the
+    namespace never needs re-syncing.
     """
 
-    SEP = "."
+    KEY = "{child}.{param}"
 
     def __init__(self, layers: list[tuple[str, Layer]]):
         self.layers = layers
         self.params, self.grads, self.weight_names = {}, {}, set()
         for lname, layer in layers:
             for pname, arr in layer.params.items():
-                key = f"{lname}{self.SEP}{pname}"
+                key = self.KEY.format(child=lname, param=pname)
                 self.params[key], self.grads[key] = arr, layer.grads[pname]
-            self.weight_names.update(f"{lname}{self.SEP}{w}" for w in layer.weight_names)
+            self.weight_names.update(self.KEY.format(child=lname, param=w)
+                                     for w in layer.weight_names)
 
     def init_params(self, rng: np.random.Generator):
         for _, layer in self.layers:
@@ -290,6 +236,55 @@ class Composite(Layer):
 
     def full3d_weight_count(self) -> int:
         return sum(layer.full3d_weight_count() for _, layer in self.layers)
+
+
+class Conv2Plus1D(Composite):
+    """Factorized space-time convolution on N x C x T x H x W.
+
+    A 2-D spatial convolution of every frame (in -> out channels), a ReLU,
+    then a 1-D temporal convolution of every pixel (out -> out channels); the
+    pair strides T, H and W by ``stride``.  The kernels are 3x3
+    (``spatial_kernel``) and 3 (``temporal_kernel``), so a pair with equal
+    channels c stores 9c^2 + 3c^2 = 12c^2 weights versus 27c^2 for the
+    unfactorized kernel.  Both factors use "same" padding.  Each factor is
+    one ``Conv2D`` over the whole batch: the spatial factor over its N x T
+    frames, the temporal factor over its N samples, each a T x (H*W) image
+    whose lowered matrix is the padded image itself (kernel width 1).
+    The factors are the children ``s`` (spatial) and ``t`` (temporal).
+    """
+
+    KEY = "{param}{child}"  # ws, bs, wt, bt
+    spatial_kernel, temporal_kernel = (3, 3), 3
+
+    def __init__(self, in_channels: int, out_channels: int, stride=1):
+        self.in_channels, self.out_channels = in_channels, out_channels
+        self.spatial = Conv2D(ConvSpec(*self.spatial_kernel, (stride, stride), "same",
+                                       in_channels, out_channels))
+        self.temporal = Conv2D(ConvSpec(self.temporal_kernel, 1, (stride, 1), "same",
+                                        out_channels, out_channels))
+        super().__init__([("s", self.spatial), ("t", self.temporal)])
+
+    def forward(self, x, mode="eval"):
+        if x.ndim != 5 or x.shape[1] != self.in_channels:
+            raise DimensionError(
+                f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
+        # frames as N x T x C x H x W views; the spatial output is channel-major
+        mid = self.spatial.forward(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
+        self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
+        n, c, tt, hh, ww = self._act.shape
+        # each sample's pixels are the columns of one T x (H'*W') image
+        out = self.temporal.forward(self._act.reshape(n, c, tt, hh * ww))
+        return out.reshape(n, out.shape[1], out.shape[2], hh, ww)
+
+    def backward(self, grad_out):
+        n, c, tt, hh, ww = self._act.shape
+        gflat = self.temporal.backward(grad_out.reshape(grad_out.shape[:3] + (hh * ww,)))
+        gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
+        return self.spatial.backward(gmid.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
+
+    def full3d_weight_count(self) -> int:
+        kh, kw = self.spatial_kernel
+        return self.temporal_kernel * kh * kw * self.in_channels * self.out_channels
 
 
 class Residual2Plus1DBlock(Composite):
@@ -332,17 +327,17 @@ class Net(Composite):
     """Ordered layer stack with a flat, ordered parameter namespace.
 
     ``forward``/``backward`` run an N x ... batch through every layer once,
-    from the input to the logits and back; ``output`` is the activation kind
-    (``ops.activation``) ``predict`` applies to the logits, None for
-    none.  ``run`` predicts one sample or any leading batch axes in front of
-    it.
+    from the input to the logits and back.  ``input_shape`` is the shape of
+    one sample; ``output`` is the activation kind (``ops.activation``) that
+    ``run`` applies to the logits, None for none.
     """
 
-    SEP = "/"
+    KEY = "{child}/{param}"
 
-    def __init__(self, layers: list[tuple[str, Layer]], output: str | None = None):
+    def __init__(self, layers: list[tuple[str, Layer]], input_shape: tuple,
+                 output: str | None = None):
         super().__init__(layers)
-        self.output = output
+        self.input_shape, self.output = tuple(input_shape), output
 
     def init_params(self, seed: int | None):
         """He-uniform weights and zero biases drawn from ``seed``; None leaves
@@ -373,21 +368,19 @@ class Net(Composite):
             g = layer.backward(g)
         return g
 
-    def predict(self, x, mode="eval"):
-        """``forward``, then the ``output`` activation."""
-        y = self.forward(x, mode)
-        return y if self.output is None else ops.activation(y, self.output)
-
-    def run(self, x, sample_shape: tuple, mode="eval"):
-        """Predict an input of shape lead + ``sample_shape`` as one batch of
-        its samples; the output keeps the leading axes ``lead``, none for
+    def run(self, x, mode="eval"):
+        """The probabilities of an input of shape lead + ``input_shape``: its
+        samples run as one batch through ``forward`` and the ``output``
+        activation, and the result keeps the leading axes ``lead``, none for
         one sample.  DimensionError if the trailing axes are not
-        ``sample_shape``."""
+        ``input_shape``."""
         x = np.asarray(x, dtype=np.float64)
-        lead = x.shape[:max(0, x.ndim - len(sample_shape))]
-        if x.shape[len(lead):] != sample_shape:
-            raise DimensionError(f"input shape {x.shape} does not end in {sample_shape}")
-        y = self.predict(x.reshape((-1,) + sample_shape), mode)
+        lead = x.shape[:max(0, x.ndim - len(self.input_shape))]
+        if x.shape[len(lead):] != self.input_shape:
+            raise DimensionError(f"input shape {x.shape} does not end in {self.input_shape}")
+        y = self.forward(x.reshape((-1,) + self.input_shape), mode)
+        if self.output is not None:
+            y = ops.activation(y, self.output)
         return y.reshape(lead + y.shape[1:])
 
     def param_bytes(self) -> bytes:

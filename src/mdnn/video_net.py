@@ -63,7 +63,7 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | N
         ("pool", GlobalAvgPool()),
         ("head", Dense(prev, config.num_classes)),
     ]
-    net = Net(layers, output="softmax_lastdim")
+    net = Net(layers, config.input_shape, output="softmax_lastdim")
     net.config = config
     net.init_params(rng_seed)
     return net
@@ -72,7 +72,7 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | N
 def video_forward(net: Net, clip: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Classify one C x T x H x W clip -> 2-class probability vector, or an
     N x C x T x H x W batch of clips -> N x 2 probabilities in one pass."""
-    return net.run(clip, net.config.input_shape, mode)
+    return net.run(clip, mode)
 
 
 def param_count(net: Net, mode: str = "factored") -> int:

@@ -55,11 +55,11 @@ def test_criterion_2_gradient_integrity():
     with report(2, "gradient integrity"):
         rng = np.random.default_rng(7)
         single_layers = [
-            (Net([("d", Dense(6, 3))]), rng.standard_normal(6)),
-            (Net([("c", Conv2D(ConvSpec(3, 3, (1, 1), "same", 2, 3)))]),
+            (Net([("d", Dense(6, 3))], (6,)), rng.standard_normal(6)),
+            (Net([("c", Conv2D(ConvSpec(3, 3, (1, 1), "same", 2, 3)))], (2, 5, 5)),
              rng.standard_normal((2, 5, 5))),
-            (Net([("f", Conv2Plus1D(2, 3))]), rng.standard_normal((2, 3, 4, 4))),
-            (Net([("r", Residual2Plus1DBlock(2, 3, stride=2))]),
+            (Net([("f", Conv2Plus1D(2, 3))], (2, 3, 4, 4)), rng.standard_normal((2, 3, 4, 4))),
+            (Net([("r", Residual2Plus1DBlock(2, 3, stride=2))], (2, 4, 5, 5)),
              rng.standard_normal((2, 4, 5, 5))),
         ]
         for net, x in single_layers:

@@ -43,7 +43,7 @@ CASES = {
     "audio_gradcheck": (lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=3),
                         audio_forward, GRADCHECK_AUDIO_CONFIG.input_shape),
     "fusion": (lambda: build_fusion_head(rng_seed=3),
-               lambda net, x, mode="eval": net.run(x, (FUSION_INPUT_DIM,), mode),
+               lambda net, x, mode="eval": net.run(x, mode),
                (FUSION_INPUT_DIM,)),
 }
 
@@ -265,7 +265,7 @@ def dense_wider_than_a_block(in_dim, out_dim, n, seed=0):
     return layer, x, g
 
 
-def test_dense_weight_gradient_accumulates_block_by_block():
+def test_dense_weight_gradient_written_block_by_block():
     """A weight of several row blocks and a ragged last one: the gradient is
     X.T @ G, and a second backward writes the same bits again."""
     layer, x, g = dense_wider_than_a_block(4103, 24, N)

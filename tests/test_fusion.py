@@ -45,7 +45,7 @@ class TestConcat:
         head_input = np.concatenate([video_forward(vnet, clip), audio_forward(anet, mfcc)])
         assert fusion.CONCAT_ORDER == ("video", "audio")
         assert np.array_equal(fusion.fused_forward(vnet, anet, fnet, clip, mfcc),
-                              fnet.predict(head_input[None])[0])
+                              fnet.run(head_input))
 
 
 class TestFusionHead:
@@ -61,7 +61,7 @@ class TestFusionHead:
 
     def test_output_sums_to_one(self):
         net = fusion.build_fusion_head(1)
-        out = net.run(np.array([0.9, 0.1, 0.2, 0.8]), (fusion.FUSION_INPUT_DIM,))
+        out = net.run(np.array([0.9, 0.1, 0.2, 0.8]))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert ((out > 0) & (out < 1)).all()
 
@@ -158,7 +158,7 @@ class TestLogitGradient:
         if kind == "onehot":
             build = lambda: fusion.build_fusion_head(rng_seed=0)
             xs = rng.uniform(0.0, 1.0, (6, 4))
-            forward = lambda net: net.predict
+            forward = lambda net: net.run
         else:
             build = lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=0)
             xs = rng.standard_normal((6,) + GRADCHECK_AUDIO_CONFIG.input_shape)

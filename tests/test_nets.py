@@ -229,9 +229,9 @@ class TestVideoNet:
 def test_nets_end_at_the_logits(build, shape, output):
     """The output activation is the net's ``output``, not a layer: ``forward``
     stops at the logits of the last Dense layer (the only activation layer
-    is ``ReLU``), and ``predict`` applies the activation, bit for bit."""
+    is ``ReLU``), and ``run`` applies the activation, bit for bit."""
     net = build()
     assert net.output == output
     assert isinstance(net.layers[-1][1], Dense)
     x = np.random.default_rng(3).standard_normal(shape)
-    assert np.array_equal(net.predict(x), ops.activation(net.forward(x), net.output))
+    assert np.array_equal(net.run(x), ops.activation(net.forward(x), net.output))

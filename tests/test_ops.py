@@ -190,7 +190,7 @@ class TestActivations:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax_lastdim"])
     def test_backward_finite_differences(self, kind):
         rng = np.random.default_rng(8)
-        net = Net([("a", ReLU() if kind == "relu" else OutputActivation(kind))])
+        net = Net([("a", ReLU() if kind == "relu" else OutputActivation(kind))], (12,))
         # keep relu inputs away from the kink
         x = rng.standard_normal(12)
         x = np.where(np.abs(x) < 1e-2, 0.5, x)
@@ -258,14 +258,14 @@ class TestGlobalAvgPool:
 class TestGradientCheck:
     def test_dense_sigmoid(self):
         rng = np.random.default_rng(10)
-        net = Net([("d", Dense(6, 3)), ("s", OutputActivation("sigmoid"))])
+        net = Net([("d", Dense(6, 3)), ("s", OutputActivation("sigmoid"))], (6,))
         net.init_params(11)
         net.jitter(12)
         report = ops.gradient_check(net, rng.standard_normal(6))
         assert report["max_rel_err"] < 1e-5
 
     def test_relu_inactive_side_exact_zero(self):
-        net = Net([("r", ReLU())])
+        net = Net([("r", ReLU())], ())
         net.forward(np.array([-1.0, -2.0]))
         g = net.backward(np.ones(2))
         assert np.array_equal(g, [0.0, 0.0])
@@ -273,13 +273,13 @@ class TestGradientCheck:
     def test_layer_kinds_all_pass(self):
         rng = np.random.default_rng(13)
         cases = [
-            (Net([("c", Conv2D(ConvSpec(3, 3, (1, 1), "valid", 1, 2)))]),
+            (Net([("c", Conv2D(ConvSpec(3, 3, (1, 1), "valid", 1, 2)))], (1, 5, 5)),
              rng.standard_normal((1, 5, 5))),
-            (Net([("d", Dense(5, 4))]), rng.standard_normal(5)),
-            (Net([("p", GlobalAvgPool())]), rng.standard_normal((2, 3, 3))),
-            (Net([("f", Flatten()), ("d", Dense(8, 2))]),
+            (Net([("d", Dense(5, 4))], (5,)), rng.standard_normal(5)),
+            (Net([("p", GlobalAvgPool())], (2, 3, 3)), rng.standard_normal((2, 3, 3))),
+            (Net([("f", Flatten()), ("d", Dense(8, 2))], (2, 2, 2)),
              rng.standard_normal((2, 2, 2))),
-            (Net([("c", Conv2Plus1D(2, 2))]), rng.random((2, 3, 4, 4))),
+            (Net([("c", Conv2Plus1D(2, 2))], (2, 3, 4, 4)), rng.random((2, 3, 4, 4))),
         ]
         for net, x in cases:
             net.init_params(14)

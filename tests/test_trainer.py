@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mdnn import data as dm
 from mdnn import fusion, ops, trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
-from mdnn.errors import ConfigError, TrainingError
+from mdnn.errors import ConfigError, DimensionError, TrainingError
 from mdnn.layers import Composite, Dense, Net
 from mdnn.trainer import (EpochLog, SplitSpec, TrainConfig, adam_step,
                           evaluate, init_adam_state, metrics_from_counts,
@@ -121,7 +121,7 @@ class TestAdam:
 
 
 def single_dense_net(w_value):
-    net = Net([("d", Dense(1, 1))])
+    net = Net([("d", Dense(1, 1))], (1,))
     net.params["d/w"][...] = np.array([[float(w_value)]])
     return net
 
@@ -157,7 +157,7 @@ class TestRegularization:
         """The per-tensor penalties are added in ``net.params`` order, whatever
         order ``weight_names`` iterates in (a set's order follows the
         per-process string hash)."""
-        net = Net([(name, Dense(1, 1)) for name in "abc"])
+        net = Net([(name, Dense(1, 1)) for name in "abc"], (1,))
         for name, w in zip("abc", (1.0, 1e-16, 1e-16)):
             net.params[f"{name}/w"][...] = w
         assert reg_penalty(net, "L1", 1.0) == 1.0  # (1 + 1e-16) + 1e-16
@@ -169,7 +169,8 @@ class TestRegularization:
         """Over a weight of several blocks, the penalty and the gradient added
         block by block are bitwise the whole-tensor formula's."""
         lam = 0.01
-        net = Net([("d", Dense(2 * ops.BLOCK_VALUES // 16 + 3, 16))])
+        in_dim = 2 * ops.BLOCK_VALUES // 16 + 3
+        net = Net([("d", Dense(in_dim, 16))], (in_dim,))
         net.init_params(0)
         w = net.params["d/w"]
         g0 = np.random.default_rng(1).standard_normal(w.shape)
@@ -324,6 +325,17 @@ class TestTrainLoop:
             train_net(net, [(x, onehot(0)), (x, onehot(1))], [], TrainConfig(epochs=1),
                       loss_kind=loss_kind)
 
+    def test_default_forward_checks_the_sample_shape(self):
+        """The default forward is ``Net.run``: a clip of the wrong length,
+        which every convolution would take, is refused before any step."""
+        net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
+        c, t, h, w = TINY_VIDEO_CONFIG.input_shape
+        x = np.zeros((c, t + 1, h, w))
+        before = net.param_bytes()
+        with pytest.raises(DimensionError, match="does not end in"):
+            train_net(net, [(x, onehot(0)), (x, onehot(1))], [], TrainConfig(epochs=1))
+        assert net.param_bytes() == before
+
     def test_one_net_backward_per_minibatch(self):
         """Training backpropagates through ``Net.backward``, once a minibatch:
         10 samples in batches of 4 make 3 minibatches an epoch."""
@@ -378,7 +390,7 @@ def assert_namespace_holds_children(composite):
     """Every entry of a Composite's params and grads is its child's own array."""
     for lname, layer in composite.layers:
         for pname, arr in layer.params.items():
-            key = f"{lname}{composite.SEP}{pname}"
+            key = composite.KEY.format(child=lname, param=pname)
             assert composite.params[key] is arr, key
             assert composite.grads[key] is layer.grads[pname], key
         if isinstance(layer, Composite):
