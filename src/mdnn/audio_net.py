@@ -1,9 +1,11 @@
 """Audio classifier over MFCC matrices.
 
-Two 16-filter 3x3 valid convolutions with ReLU, flatten, dropout, a hidden
-dense layer, then a 2-unit dense layer: the logits, which the net's sigmoid
-output squashes elementwise.  The two output probabilities are independent
-(they need not sum to 1); the predicted class is their argmax.
+A sample is a (frames, 13, 1) matrix as ``dsp.mfcc`` writes it; the first
+layer views it as a one-channel (1, frames, 13) image.  Two 16-filter 3x3
+valid convolutions with ReLU, dropout, flatten, a hidden dense layer, then a
+2-unit dense layer: the logits, which the net's sigmoid output squashes
+elementwise.  The two output probabilities are independent (they need not
+sum to 1); the predicted class is their argmax.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .layers import Conv2D, Dense, Dropout, Flatten, Net, ReLU
+from .errors import ConfigError
+from .layers import Conv2D, Dense, Dropout, Net, ReLU, Reshape
 from .ops import ConvSpec, conv_out_size
 
 
@@ -40,7 +42,8 @@ class AudioNetConfig:
         if self.num_classes != 2:
             raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
 
-    def conv_output_shape(self) -> tuple[int, int, int]:
+    def flatten_width(self) -> int:
+        """Values per sample after the two valid convolutions."""
         h, w, _ = self.input_shape
         kh, kw = self.kernel
         for _layer in range(2):
@@ -48,11 +51,7 @@ class AudioNetConfig:
                 raise ConfigError(f"input {self.input_shape} too small for kernel {self.kernel}")
             h = conv_out_size(h, kh, 1, "valid")
             w = conv_out_size(w, kw, 1, "valid")
-        return h, w, self.conv_filters
-
-    def flatten_width(self) -> int:
-        h, w, c = self.conv_output_shape()
-        return h * w * c
+        return h * w * self.conv_filters
 
 
 TINY_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1))
@@ -68,16 +67,17 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
     frames, coeffs, _ = config.input_shape
     f = config.conv_filters
     net = Net([
+        ("image", Reshape((1, frames, coeffs))),
         ("conv1", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", 1, f))),
         ("relu1", ReLU()),
         ("conv2", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", f, f))),
         ("relu2", ReLU()),
-        ("flatten", Flatten()),
         ("dropout", Dropout(config.dropout_rate)),
+        ("flatten", Reshape((-1,))),
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
         ("relu3", ReLU()),
         ("dense2", Dense(config.dense1_width, config.num_classes)),
-    ], (1, frames, coeffs), output="sigmoid")
+    ], config.input_shape, output="sigmoid")
     net.config = config
     net.init_params(rng_seed)
     return net
@@ -86,8 +86,4 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
 def audio_forward(net: Net, mfcc: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Run the classifier on one (frames, 13, 1) MFCC matrix -> 2 probabilities,
     or on an N x frames x 13 x 1 batch of them -> N x 2 probabilities in one pass."""
-    mfcc = np.asarray(mfcc, dtype=np.float64)
-    if mfcc.shape[-3:] != net.config.input_shape:
-        raise DimensionError(f"mfcc shape {mfcc.shape} != expected {net.config.input_shape}")
-    # each (frames, 13, 1) matrix is the net's one-channel (1, frames, 13) image
-    return net.run(np.moveaxis(mfcc, -1, -3), mode)
+    return net.run(mfcc, mode)

@@ -18,15 +18,14 @@ import numpy as np
 from . import data as datamod
 from . import dsp, model_io, trainer
 from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
-                        AudioNetConfig, audio_forward, build_audio_net)
+                        AudioNetConfig, build_audio_net)
 from .errors import (ConfigError, DomainError, FormatError, GradientCheckError,
                      InputError, MdnnError, TrainingError)
 from .fusion import CONCAT_ORDER, build_fusion_head
 from .ops import gradient_check
 from .trainer import SplitSpec, TrainConfig
 from .video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
-                        VideoNetConfig, build_video_net, param_count,
-                        video_forward)
+                        VideoNetConfig, build_video_net, param_count)
 
 def _read_config_file(path) -> dict:
     return model_io.parse_fields(dataclasses.fields(TrainConfig), model_io.read_kv(path), path)
@@ -90,19 +89,13 @@ def _load_split(args, rows):
     return {k: [rows[i] for i in idx] for k, idx in named.items()}
 
 
-def _task(kind: str, net, frozen=None):
-    """(features(rows), forward(xs, mode)) for a model of ``kind``; forward
-    takes an N x ... batch, as ``train_net`` and ``evaluate`` pass it, and
-    returns the net's probabilities through ``Net.run``, which checks the
-    batch's sample shape (a fusion head's forward is its ``Net.run`` itself).
+def _pairs(kind: str, rows, net, frozen=None) -> list:
+    """(input, onehot label) pairs of manifest ``rows`` for a model of ``kind``;
     ``frozen`` is the (video, audio) pair whose outputs a fusion head reads."""
-    if kind == "video":
-        return ((lambda rows: trainer.video_features(rows, net.config)),
-                lambda x, mode="eval": video_forward(net, x, mode))
-    if kind == "audio":
-        return ((lambda rows: trainer.audio_features(rows, net.config)),
-                lambda x, mode="eval": audio_forward(net, x, mode))
-    return (lambda rows: trainer.fusion_features(rows, *frozen)), net.run
+    if kind == "fusion":
+        return trainer.paired(trainer.fusion_features(rows, *frozen), rows)
+    features = trainer.video_features if kind == "video" else trainer.audio_features
+    return trainer.paired(features(rows, net.config), rows)
 
 
 def cmd_train(args) -> int:
@@ -119,9 +112,8 @@ def cmd_train(args) -> int:
     else:
         frozen = tuple(map(model_io.load_part, (args.video_dir, args.audio_dir), CONCAT_ORDER))
         net = build_fusion_head(rng_seed=cfg.rng_seed)
-    features, forward = _task(args.model, net, frozen)
-    sets = {k: trainer.paired(features(rows), rows) for k, rows in parts.items()}
-    logs = trainer.train_net(net, sets["train"], sets["val"], cfg, forward_fn=forward)
+    sets = {k: _pairs(args.model, rows, net, frozen) for k, rows in parts.items()}
+    logs = trainer.train_net(net, sets["train"], sets["val"], cfg)
     if frozen:
         model_io.save_bundle(out, *frozen, net)
     else:
@@ -152,8 +144,7 @@ def cmd_eval(args) -> int:
         if model_io.model_kind(net) == "fusion":
             raise FormatError(f"{model_dir}: a fusion head is evaluated through "
                               "its bundle directory, the parent of this one")
-    features, forward = _task(model_io.model_kind(net), net, frozen)
-    report = trainer.evaluate(forward, trainer.paired(features(part), part))
+    report = trainer.evaluate(net.run, _pairs(model_io.model_kind(net), part, net, frozen))
     _print_report(f"{args.split}:", report)
     return 0
 

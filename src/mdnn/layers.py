@@ -7,7 +7,8 @@ parameter gradients are summed over the batch.  A ``Net``'s ``forward`` and
 the logits and back.  ``Net.run`` is the one way to a net's probabilities: it
 checks that an input ends in the net's ``input_shape``, runs any leading axes
 in front of it as the batch (one sample as the N=1 batch) and applies the
-net's output activation (softmax or sigmoid).
+net's output activation (softmax or sigmoid).  A net takes samples in their
+data's layout; a ``Reshape`` layer gives the other layers the view they need.
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
@@ -157,12 +158,20 @@ class Dropout(Layer):
         return grad_out if self._mask is None else grad_out * self._mask
 
 
-class Flatten(Layer):
-    """N x ... -> N x (product of the rest)."""
+class Reshape(Layer):
+    """N x ... -> N x ``shape`` as a view, one entry of which may be -1;
+    DimensionError if a sample's values do not fill ``shape``."""
+
+    def __init__(self, shape: tuple):
+        super().__init__()
+        self.shape = tuple(shape)
 
     def forward(self, x, mode="eval"):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        try:
+            return x.reshape(x.shape[:1] + self.shape)
+        except ValueError:
+            raise DimensionError(f"cannot reshape {x.shape} to N x {self.shape}") from None
 
     def backward(self, grad_out):
         return grad_out.reshape(self._shape)
@@ -353,6 +362,8 @@ class Net(Composite):
             p += rng.normal(0.0, 0.05, p.shape)
 
     def reseed_dropout(self, seed: int):
+        """Seed each ``Dropout`` with ``seed`` plus its layer index, so a layer
+        inserted before a ``Dropout`` changes that dropout's masks."""
         for i, (_, layer) in enumerate(self.layers):
             if isinstance(layer, Dropout):
                 layer.reseed(seed + i)

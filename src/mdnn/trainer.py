@@ -243,16 +243,17 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
 
     ``forward_fn(xs, mode)`` maps an N x ... stack of inputs to N x 2
     probabilities and defaults to ``net.run``, which checks that each input
-    ends in ``net.input_shape``.  Each minibatch runs one train-mode forward
-    and one ``net.backward``, so the layer caches hold exactly one minibatch
-    and memory grows with ``batch_size``; each epoch ends with ``evaluate``
-    of that forward on ``val_set``.  ``loss_kind`` is "onehot" (BCE over a
-    softmax output) or "sigmoid" (two-sided BCE over uncoupled sigmoid
-    outputs); it defaults to the one ``LOSSES`` pairs with ``net.output``,
-    and must match it (else ConfigError).  For both pairs dL/d(logits) is
-    (p - y)/N, so the backward starts at the logits, from the unclamped
-    output, and a saturated output still learns; ``PROB_CLAMP`` applies only
-    to the reported loss.
+    ends in ``net.input_shape``; every net trains on that default, and
+    ``forward_fn`` is for wrappers of it that a tracer times by name.  Each
+    minibatch runs one train-mode forward and one ``net.backward``, so the
+    layer caches hold exactly one minibatch and memory grows with
+    ``batch_size``; each epoch ends with ``evaluate`` of that forward on
+    ``val_set``.  ``loss_kind`` is "onehot" (BCE over a softmax output) or
+    "sigmoid" (two-sided BCE over uncoupled sigmoid outputs); it defaults to
+    the one ``LOSSES`` pairs with ``net.output``, and must match it (else
+    ConfigError).  For both pairs dL/d(logits) is (p - y)/N, so the backward
+    starts at the logits, from the unclamped output, and a saturated output
+    still learns; ``PROB_CLAMP`` applies only to the reported loss.
     """
     if not train_set:
         raise ConfigError("empty training set")

@@ -9,7 +9,7 @@ import pytest
 
 from mdnn import data as dm
 from mdnn import trainer
-from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
+from mdnn.audio_net import TINY_AUDIO_CONFIG, build_audio_net
 from mdnn.fusion import build_fusion_head
 from mdnn.trainer import SplitSpec, TrainConfig
 from mdnn.video_net import TINY_VIDEO_CONFIG, build_video_net
@@ -55,11 +55,8 @@ def make_splits(feats, rows, split_seed):
 
 def train_audio(train_set, val_set, **cfg_kwargs):
     net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-    cfg = TrainConfig(rng_seed=0, **cfg_kwargs)
-    fwd = lambda x, mode="eval": audio_forward(net, x, mode)
-    logs = trainer.train_net(net, train_set, val_set, cfg,
-                             forward_fn=fwd, loss_kind="sigmoid")
-    return net, fwd, logs
+    logs = trainer.train_net(net, train_set, val_set, TrainConfig(rng_seed=0, **cfg_kwargs))
+    return net, logs
 
 
 @pytest.fixture(scope="session")
@@ -70,8 +67,8 @@ def sep_audio_sets(sep_audio_feats, sep_rows):
 @pytest.fixture(scope="session")
 def sep_audio_trained(sep_audio_sets):
     train_set, val_set, _ = sep_audio_sets
-    net, fwd, logs = train_audio(train_set, val_set)
-    return {"net": net, "fwd": fwd, "logs": logs}
+    net, logs = train_audio(train_set, val_set)
+    return {"net": net, "logs": logs}
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +78,7 @@ def comp_trained(comp_rows, comp_audio_feats, comp_video_feats):
     v_tr, v_va, v_te = make_splits(comp_video_feats, comp_rows, COMP_SPLIT_SEED)
     cfg = TrainConfig(rng_seed=0)
 
-    anet, afwd, _ = train_audio(a_tr, a_va)
+    anet, _ = train_audio(a_tr, a_va)
     vnet = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
     trainer.train_net(vnet, v_tr, v_va, cfg)
 
@@ -92,8 +89,8 @@ def comp_trained(comp_rows, comp_audio_feats, comp_video_feats):
     trainer.train_net(fnet, f_tr, f_va, cfg)
 
     return {
-        "audio_net": anet, "audio_fwd": afwd, "video_net": vnet, "fusion_net": fnet,
-        "audio_test_acc": trainer.evaluate(lambda x: afwd(x), a_te).accuracy,
+        "audio_net": anet, "video_net": vnet, "fusion_net": fnet,
+        "audio_test_acc": trainer.evaluate(anet.run, a_te).accuracy,
         "video_test_acc": trainer.evaluate(vnet.forward, v_te).accuracy,
         "fused_test_acc": trainer.evaluate(fnet.forward, f_te).accuracy,
     }

@@ -69,7 +69,7 @@ def test_criterion_2_gradient_integrity():
 
         anet = build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=1)
         anet.jitter(11)
-        ax = rng.standard_normal((1,) + GRADCHECK_AUDIO_CONFIG.input_shape[:2])
+        ax = rng.standard_normal(GRADCHECK_AUDIO_CONFIG.input_shape)
         assert ops.gradient_check(anet, ax, tolerance=1e-4)["ok"]
 
         vnet = build_video_net(GRADCHECK_VIDEO_CONFIG, rng_seed=1)
@@ -125,10 +125,10 @@ def test_criterion_5_reference_training_run(sep_audio_sets, sep_audio_trained):
     with report(5, "reference training run"):
         train_set, val_set, _ = sep_audio_sets
         first = sep_audio_trained
-        acc = trainer.evaluate(lambda x: first["fwd"](x), train_set).accuracy
+        acc = trainer.evaluate(first["net"].run, train_set).accuracy
         assert acc >= 0.95
 
-        _, _, logs2 = train_audio(train_set, val_set)
+        _, logs2 = train_audio(train_set, val_set)
         assert [l.train_loss for l in first["logs"]] == [l.train_loss for l in logs2]
 
 
@@ -153,7 +153,7 @@ def test_criterion_7_regularization_effects(sep_audio_sets):
         train_set, val_set, _ = sep_audio_sets
         stats = {}
         for kind in ("none", "L1", "L2"):
-            net, _, _ = train_audio(train_set, val_set, regularization=kind)
+            net, _ = train_audio(train_set, val_set, regularization=kind)
             stats[kind] = near_zero_fraction(net)
         assert stats["L2"][1] < stats["none"][1]  # smaller final sum of squares
         assert stats["L1"][0] > stats["none"][0]  # more near-zero weights

@@ -14,8 +14,8 @@ from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_for
                             build_audio_net)
 from mdnn.errors import DimensionError
 from mdnn.fusion import FUSION_INPUT_DIM, build_fusion_head
-from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, Flatten, GlobalAvgPool,
-                         Projection, ReLU, Residual2Plus1DBlock)
+from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, GlobalAvgPool, Projection,
+                         ReLU, Reshape, Residual2Plus1DBlock)
 from mdnn.ops import ConvSpec
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG, build_video_net,
                             video_forward)
@@ -75,10 +75,8 @@ def test_nets_take_batches_only(name):
     """``Net.forward`` refuses one unbatched sample; ``run`` takes any leading
     axes as the batch, so a 2 x 2 grid of samples is the batch of four."""
     net, fwd, xs = make(name)
-    # the audio net's sample is the MFCC matrix as a (1, frames, coeffs) image
-    x = np.moveaxis(xs[0], -1, -3) if name.startswith("audio") else xs[0]
     with pytest.raises(DimensionError):
-        net.forward(x)
+        net.forward(xs[0])
     grid = fwd(xs[:4].reshape((2, 2) + xs.shape[1:]))
     assert np.array_equal(grid, fwd(xs[:4]).reshape(2, 2, 2))
 
@@ -155,7 +153,8 @@ LAYER_KINDS = {
     "conv2plus1d_strided": (lambda: Conv2Plus1D(2, 3, stride=2), (3, 2, 4, 5, 5)),
     "projection": (lambda: Projection(2, 3, stride=2), (3, 2, 4, 5, 5)),
     "residual_block": (lambda: Residual2Plus1DBlock(2, 3, stride=2), (3, 2, 4, 5, 5)),
-    "flatten": (Flatten, (3, 2, 2, 2)),
+    "flatten": (lambda: Reshape((-1,)), (3, 2, 2, 2)),
+    "image": (lambda: Reshape((1, 4, 5)), (3, 4, 5, 1)),
     "global_avg_pool": (GlobalAvgPool, (3, 2, 3, 3)),
     "dropout_eval": (lambda: Dropout(0.5), (3, 6)),
     "relu": (ReLU, (3, 6)),

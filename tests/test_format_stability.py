@@ -152,14 +152,13 @@ def test_seeded_tiny_training_bitwise(tmp_path):
     anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=3)
     fnet = build_fusion_head(rng_seed=3)
     runs = {
-        "video": (vnet, lambda part: trainer.video_features(part, TINY_VIDEO_CONFIG), None),
-        "audio": (anet, lambda part: trainer.audio_features(part, TINY_AUDIO_CONFIG),
-                  lambda x, mode="eval": audio_forward(anet, x, mode)),
-        "fusion": (fnet, lambda part: trainer.fusion_features(part, vnet, anet), None),
+        "video": (vnet, lambda part: trainer.video_features(part, TINY_VIDEO_CONFIG)),
+        "audio": (anet, lambda part: trainer.audio_features(part, TINY_AUDIO_CONFIG)),
+        "fusion": (fnet, lambda part: trainer.fusion_features(part, vnet, anet)),
     }
     got = {}
-    for name, (net, features, forward) in runs.items():  # in training order
+    for name, (net, features) in runs.items():  # in training order
         sets = [trainer.paired(features(part), part) for part in (train_rows, val_rows)]
-        logs = trainer.train_net(net, *sets, cfg, forward_fn=forward)
+        logs = trainer.train_net(net, *sets, cfg)
         got[name] = (model_io.param_sha256(net), [log.train_loss.hex() for log in logs])
     assert got == TRAINED

@@ -158,21 +158,19 @@ class TestLogitGradient:
         if kind == "onehot":
             build = lambda: fusion.build_fusion_head(rng_seed=0)
             xs = rng.uniform(0.0, 1.0, (6, 4))
-            forward = lambda net: net.run
         else:
             build = lambda: build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=0)
             xs = rng.standard_normal((6,) + GRADCHECK_AUDIO_CONFIG.input_shape)
-            forward = lambda net: (lambda x, mode: audio_forward(net, x, mode))
         train = [(x, onehot(i % 2)) for i, x in enumerate(xs)]
         cfg = TrainConfig(epochs=1, batch_size=len(train), rng_seed=0)
         trained = build()
-        train_net(trained, train, [], cfg, forward_fn=forward(trained), loss_kind=kind)
+        train_net(trained, train, [], cfg, loss_kind=kind)
 
         # the same minibatch: train_net's dropout seed and shuffle order
         net = build()
         net.reseed_dropout(cfg.rng_seed + 1)
         order = np.random.default_rng(cfg.rng_seed + 2).permutation(len(train))
-        p = forward(net)(xs[order], mode="train")
+        p = net.run(xs[order], mode="train")
         dp = oracle(p, np.stack([train[i][1] for i in order]))
         net.backward(activation_backward(dp, p, net.output))
         for name, g in net.grads.items():

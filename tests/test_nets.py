@@ -64,8 +64,7 @@ class TestAudioNet:
     def test_gradient_check(self):
         net = build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=1)
         net.jitter(11)
-        x = np.random.default_rng(7).standard_normal(
-            (1,) + GRADCHECK_AUDIO_CONFIG.input_shape[:2])
+        x = np.random.default_rng(7).standard_normal(GRADCHECK_AUDIO_CONFIG.input_shape)
         assert ops.gradient_check(net, x, tolerance=1e-4)["ok"]
 
 
@@ -221,7 +220,8 @@ class TestVideoNet:
 
 
 @pytest.mark.parametrize("build, shape, output", [
-    (lambda: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0), (3, 1, 16, 13), "sigmoid"),
+    (lambda: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0), (3,) + TINY_AUDIO_CONFIG.input_shape,
+     "sigmoid"),
     (lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=0), (3,) + TINY_VIDEO_CONFIG.input_shape,
      "softmax_lastdim"),
     (lambda: fusion.build_fusion_head(rng_seed=0), (3, 4), "softmax_lastdim"),

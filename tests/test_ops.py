@@ -7,8 +7,8 @@ import pytest
 
 from mdnn import ops
 from mdnn.errors import DimensionError, ParameterError
-from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, Flatten, GlobalAvgPool,
-                         Layer, Net, ReLU)
+from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, GlobalAvgPool, Layer, Net,
+                         ReLU, Reshape)
 from mdnn.ops import ConvSpec
 
 # id -> (spec, image H x W): geometries the lowered convolution must get
@@ -277,7 +277,7 @@ class TestGradientCheck:
              rng.standard_normal((1, 5, 5))),
             (Net([("d", Dense(5, 4))], (5,)), rng.standard_normal(5)),
             (Net([("p", GlobalAvgPool())], (2, 3, 3)), rng.standard_normal((2, 3, 3))),
-            (Net([("f", Flatten()), ("d", Dense(8, 2))], (2, 2, 2)),
+            (Net([("f", Reshape((-1,))), ("d", Dense(8, 2))], (2, 2, 2)),
              rng.standard_normal((2, 2, 2))),
             (Net([("c", Conv2Plus1D(2, 2))], (2, 3, 4, 4)), rng.random((2, 3, 4, 4))),
         ]

@@ -349,15 +349,17 @@ class TestTrainLoop:
 
     def test_loss_kind_defaults_to_the_nets_output(self, tmp_path):
         """Without ``loss_kind`` the sigmoid-output audio net trains on the
-        sigmoid loss, bit for bit as when it is named."""
+        sigmoid loss on its default forward, ``Net.run``, bit for bit as when
+        the loss is named and as through ``audio_forward``, the call the
+        benchmark makes."""
         rows = dm.read_manifest(dm.synth_dataset(3, "separable", 0, tmp_path))
         train = trainer.paired(trainer.audio_features(rows, TINY_AUDIO_CONFIG), rows)
         runs = []
-        for kind in (None, "sigmoid"):
+        for named in (False, True):
             net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-            logs = train_net(net, train, [], TrainConfig(epochs=2, rng_seed=0),
-                             forward_fn=lambda xs, mode: audio_forward(net, xs, mode),
-                             loss_kind=kind)
+            kwargs = {"forward_fn": lambda xs, mode: audio_forward(net, xs, mode),
+                      "loss_kind": "sigmoid"} if named else {}
+            logs = train_net(net, train, [], TrainConfig(epochs=2, rng_seed=0), **kwargs)
             runs.append(([log.train_loss for log in logs], net.param_bytes()))
         assert runs[0] == runs[1]
 
@@ -370,9 +372,7 @@ class TestTrainLoop:
         net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
         net.params["dense2/b"][...] = np.array([50.0, -800.0])
         before = {k: v.copy() for k, v in net.params.items()}
-        logs = train_net(net, train, [], TrainConfig(epochs=5, rng_seed=0),
-                         forward_fn=lambda xs, mode: audio_forward(net, xs, mode),
-                         loss_kind="sigmoid")
+        logs = train_net(net, train, [], TrainConfig(epochs=5, rng_seed=0))
         assert [k for k, v in net.params.items() if np.array_equal(v, before[k])] == []
         assert logs[-1].train_loss < logs[0].train_loss
 
@@ -403,12 +403,8 @@ class TestOwnership:
 
     @pytest.mark.parametrize("kind", ["audio", "video"])
     def test_arrays_keep_their_identity(self, kind, monkeypatch):
-        if kind == "audio":
-            net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
-            fwd, loss_kind = (lambda xs, mode: audio_forward(net, xs, mode)), "sigmoid"
-        else:
-            net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
-            fwd, loss_kind = None, "onehot"
+        net = (build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0) if kind == "audio"
+               else build_video_net(TINY_VIDEO_CONFIG, rng_seed=0))
         rng = np.random.default_rng(0)
         train = [(rng.standard_normal(net.config.input_shape), onehot(i % 2)) for i in range(4)]
         states = []
@@ -427,8 +423,7 @@ class TestOwnership:
         net.init_params(1)
         assert any(not np.array_equal(params[k], before[k]) for k in params)
         train_net(net, train, [], TrainConfig(epochs=1, batch_size=2, regularization="L2",
-                                              rng_seed=0),
-                  forward_fn=fwd, loss_kind=loss_kind)
+                                              rng_seed=0))
         assert any(np.any(g != 0.0) for g in grads.values())
         net.jitter(2)
         assert all(net.params[k] is v for k, v in params.items())
