@@ -81,8 +81,9 @@ def cmd_synth(args) -> int:
 
 
 def _load_split(args, rows):
+    spec = SplitSpec(seed=args.split_seed)  # a negative seed is a usage error
     try:
-        splits = trainer.split_dataset(len(rows), SplitSpec(seed=args.split_seed))
+        splits = trainer.split_dataset(len(rows), spec)
     except ConfigError as e:  # too few rows: the manifest is at fault
         raise FormatError(f"{args.data}: {e}") from e
     named = dict(zip(("train", "val", "test"), splits))

@@ -79,7 +79,7 @@ def preprocess_audio(clip: AudioClip) -> AudioClip:
         out = x[:n].copy()
     else:
         out = np.concatenate([x, np.zeros(n - x.size)])
-    return AudioClip(samples=out, sample_rate_hz=clip.sample_rate_hz)
+    return AudioClip(samples=out)
 
 
 def uniform_indices(n_source: int, n_target: int) -> np.ndarray:
@@ -239,6 +239,8 @@ def synth_dataset(n_per_class: int, kind: str, seed: int, out_dir) -> Path:
         raise ConfigError(f"unknown synth kind {kind!r}")
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

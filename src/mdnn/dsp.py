@@ -42,8 +42,7 @@ REFERENCE_FRAMES = 778
 
 @dataclass(frozen=True)
 class AudioClip:
-    samples: np.ndarray  # float64 in [-1, 1]
-    sample_rate_hz: int = SAMPLE_RATE
+    samples: np.ndarray  # float64 in [-1, 1], at SAMPLE_RATE
 
 
 def load_wav(path) -> AudioClip:
@@ -80,7 +79,7 @@ def load_wav(path) -> AudioClip:
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"sample rate: expected {SAMPLE_RATE}, got {rate}")
     ints = np.frombuffer(data[:len(data) // 2 * 2], dtype="<i2")
-    return AudioClip(samples=ints.astype(np.float64) / 32768.0, sample_rate_hz=rate)
+    return AudioClip(samples=ints.astype(np.float64) / 32768.0)
 
 
 def write_wav(path, clip: AudioClip):
@@ -89,8 +88,7 @@ def write_wav(path, clip: AudioClip):
     data = ints.tobytes()
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE")
-        f.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate_hz,
-                                      clip.sample_rate_hz * 2, 2, 16))
+        f.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16))
         f.write(b"data" + struct.pack("<I", len(data)) + data)
 
 

@@ -55,6 +55,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.regularization not in ("none", "L1", "L2"):
             raise ConfigError(f"unknown regularization {self.regularization!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
@@ -63,6 +65,10 @@ SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
 @dataclass(frozen=True)
 class SplitSpec:
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
 
 
 def split_dataset(n_items: int, spec: SplitSpec = SplitSpec()):

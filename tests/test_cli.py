@@ -56,6 +56,28 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "-1"], "rng_seed must be >= 0, got -1"),
+        (["train", "--config", "{cfg}"], "rng_seed must be >= 0, got -3"),
+        (["train", "--split-seed", "-1"], "split seed must be >= 0, got -1"),
+        (["eval", "--split-seed", "-1"], "split seed must be >= 0, got -1"),
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["train_seed", "config_rng_seed", "train_split_seed", "eval_split_seed",
+            "synth_seed"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys, argv, message):
+        """A negative seed is refused, naming it, before anything is written."""
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("rng_seed=-3\n")
+        manifest = str(workspace / "data" / "manifest.csv")
+        out = tmp_path / "o"
+        rest = {"train": ["--model", "audio", "--tiny", "--epochs", "1", "--data", manifest,
+                          "--out", str(out)],
+                "eval": ["--model-dir", str(workspace / "audio"), "--data", manifest],
+                "synth": ["--kind", "separable", "--n", "1", "--out", str(out)]}[argv[0]]
+        assert run([a.format(cfg=cfg) for a in argv] + rest) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_zero_samples_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert run(["synth", "--kind", "separable", "--n", "0", "--out", str(out)]) == 1

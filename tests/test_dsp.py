@@ -31,7 +31,6 @@ class TestLoadWav:
         p = tmp_path / "a.wav"
         p.write_bytes(build_wav([0, 16384, -16384, 32767]))
         clip = dsp.load_wav(p)
-        assert clip.sample_rate_hz == 16000
         assert np.allclose(clip.samples, [0.0, 0.5, -0.5, 32767 / 32768], atol=1e-12)
 
     def test_empty_data_chunk(self, tmp_path):
