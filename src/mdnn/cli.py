@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -198,6 +199,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mdnn",
                                 description="multimodal late-fusion classifier toolkit")

@@ -79,7 +79,7 @@ def load_wav(path) -> AudioClip:
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"sample rate: expected {SAMPLE_RATE}, got {rate}")
     ints = np.frombuffer(data[:len(data) // 2 * 2], dtype="<i2")
-    return AudioClip(samples=ints.astype(np.float64) / 32768.0)
+    return AudioClip(samples=np.divide(ints, 32768.0, dtype=np.float64))  # one pass
 
 
 def write_wav(path, clip: AudioClip):

@@ -14,7 +14,9 @@ Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
 (``init_params``, the backward, ``model_io.load_net`` and Adam), so any
 reference to one of these arrays stays valid for the layer's life.  Each
-backward writes its parameter gradients, overwriting the last call's.  A
+backward writes its parameter gradients, overwriting the last call's; until
+the first backward they are fresh zero pages, which a net that only runs
+forward (``predict``, ``eval``, a frozen fusion part) never touches.  A
 ``Composite`` (a ``Net``, a residual block inside one, or a ``Conv2Plus1D``
 over its two ``Conv2D`` factors) is a layer whose ``params`` and ``grads`` are
 plain dicts, built once, holding its children's own arrays under one ordered
@@ -32,6 +34,12 @@ from .errors import DimensionError, ParameterError
 from .ops import ConvSpec
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
@@ -41,14 +49,15 @@ class Layer:
     """Base layer: parameter dict, gradient dict, weight/bias distinction.
 
     ``params`` and one gradient per parameter are allocated here, once.  A
-    layer with parameters has a weight ``w`` over ``fan_in`` inputs per
-    output and a bias ``b``; ``weight_names`` are the regularized params
-    (biases excluded).
+    gradient is ``np.zeros`` of its parameter's shape: fresh pages that the
+    OS zeroes when a backward first writes them.  A layer with parameters
+    has a weight ``w`` over ``fan_in`` inputs per output and a bias ``b``;
+    ``weight_names`` are the regularized params (biases excluded).
     """
 
     def __init__(self, params: dict[str, np.ndarray] | None = None, fan_in: int = 0):
         self.params = params or {}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.grads = {k: np.zeros(v.shape) for k, v in self.params.items()}
         self.weight_names = {"w"} & self.params.keys()
         self.fan_in = fan_in
 
@@ -350,14 +359,16 @@ class Net(Composite):
 
     def init_params(self, seed: int | None):
         """He-uniform weights and zero biases drawn from ``seed``; None leaves
-        every parameter as it is (zero in a new net, for ``load_net`` to fill)."""
+        every parameter as it is (zero in a new net, for ``load_net`` to fill).
+        ParameterError for a negative seed."""
         if seed is not None:
-            super().init_params(np.random.default_rng(seed))
+            super().init_params(_seeded_rng(seed))
 
     def jitter(self, seed: int):
         """Nudge every parameter off special points (zero biases put ReLU
-        pre-activations exactly on the kink, which breaks finite differences)."""
-        rng = np.random.default_rng(seed)
+        pre-activations exactly on the kink, which breaks finite differences).
+        ParameterError for a negative seed."""
+        rng = _seeded_rng(seed)
         for p in self.params.values():
             p += rng.normal(0.0, 0.05, p.shape)
 

@@ -158,8 +158,10 @@ def save_net(directory, net: Net) -> str:
 
 def load_net(directory) -> Net:
     """The net ``model.txt`` describes, filled from ``params.ntc`` once its
-    value count and SHA-256 match ``params.txt``; each tensor is checked
-    finite and copied into the array the architecture allocated."""
+    value count and SHA-256 match ``params.txt``.  One finiteness pass over
+    the whole payload, whose failure names the tensor of the first non-finite
+    value; then each tensor is copied into the array the architecture
+    allocated."""
     directory = Path(directory)
     path, ntc = directory / "model.txt", directory / "params.ntc"
     net = _build_from_lines(read_kv(path), path)
@@ -177,11 +179,13 @@ def load_net(directory) -> Net:
                           "the architecture's value count")
     if f"sha256={hashlib.sha256(values).hexdigest()}" != digest:
         raise FormatError(f"{ntc}: parameter hash mismatch with params.txt")
-    for (name, param), end in zip(net.params.items(), ends):
-        value = values[end - param.size:end]
-        if not np.all(np.isfinite(value)):
-            raise FormatError(f"{ntc}: non-finite values in {name}")
-        param[...] = value.reshape(param.shape)
+    finite = np.isfinite(values)
+    if not finite.all():  # name the tensor holding the first non-finite value
+        first = int(np.argmin(finite))
+        name = list(net.params)[np.searchsorted(ends, first, side="right")]
+        raise FormatError(f"{ntc}: non-finite values in {name}")
+    for param, end in zip(net.params.values(), ends):
+        param[...] = values[end - param.size:end].reshape(param.shape)
     return net
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from mdnn import data as dm
 from mdnn import model_io, trainer
-from mdnn.audio_net import audio_forward
+from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.cli import run
 from mdnn.errors import FormatError
 from mdnn.fusion import fused_forward
@@ -83,6 +83,38 @@ class TestExitCodes:
         assert run(["synth", "--kind", "separable", "--n", "0", "--out", str(out)]) == 1
         assert "n_per_class" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    """``run`` parses with one parser per process; no call leaves state in it."""
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        def resolved(extra):
+            assert run(["train", "--model", "audio", "--tiny", "--data",
+                        str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]
+                       + extra) == 2
+            line, = (ln for ln in capsys.readouterr().err.splitlines()
+                     if ln.startswith("resolved config: "))
+            return dict(kv.split("=") for kv in line.split()[2:])
+
+        first = resolved(["--batch-size", "3", "--epochs", "2"])
+        assert (first["batch_size"], first["epochs"]) == ("3", "2")
+        second = resolved([])
+        assert (second["batch_size"], second["epochs"]) == ("8", "50")
+
+    def test_predict_after_usage_errors(self, workspace, tmp_path, capsys):
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        predict = ["predict", "--model-dir", str(workspace / "bundle"),
+                   "--video", row.video_path, "--audio", row.audio_path]
+        assert run(predict) == 0
+        first = capsys.readouterr().out
+        assert run(["--help"]) == 0
+        assert run(["frobnicate"]) == 1
+        assert run(["train", "--model", "fusion", "--data", "m.csv",
+                    "--out", str(tmp_path / "o")]) == 1
+        capsys.readouterr()
+        assert run(predict) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestExtractInspect:
@@ -484,6 +516,33 @@ class TestTypedParseErrors:
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert (f"{tmp_path / 'audio' / 'params.ntc'}: non-finite values in dense2/b"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("name", list(build_audio_net(TINY_AUDIO_CONFIG, None).params))
+    def test_non_finite_parameter_names_its_tensor(self, workspace, tmp_path, capsys, name,
+                                                   at, bad):
+        """The one finiteness pass over params.ntc names the tensor holding
+        the first bad value, at either end of every tensor."""
+        net = model_io.load_net(workspace / "audio")
+        net.params[name].flat[at] = bad
+        model_io.save_net(tmp_path / "audio", net)
+        assert run(["eval", "--model-dir", str(tmp_path / "audio"),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert (f"{tmp_path / 'audio' / 'params.ntc'}: non-finite values in {name}\n"
+                in capsys.readouterr().err)
+
+    def test_loaded_gradients_are_fresh_zeros(self, workspace):
+        """Each loaded net's gradients are zero float64 C-contiguous arrays of
+        their parameters' shapes, sharing no memory with any parameter."""
+        nets = model_io.load_bundle(workspace / "bundle")
+        params = [p for net in nets for p in net.params.values()]
+        for net in nets:
+            assert net.grads.keys() == net.params.keys()
+            for key, g in net.grads.items():
+                assert g.shape == net.params[key].shape and g.dtype == np.float64
+                assert g.flags.c_contiguous and not g.any()
+                assert not any(np.shares_memory(g, p) for p in params)
 
     def test_load_draws_no_initialization(self, workspace, monkeypatch):
         """Loading builds the architecture without a random draw that the

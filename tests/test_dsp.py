@@ -33,6 +33,15 @@ class TestLoadWav:
         clip = dsp.load_wav(p)
         assert np.allclose(clip.samples, [0.0, 0.5, -0.5, 32767 / 32768], atol=1e-12)
 
+    def test_every_int16_value_decodes_exactly(self, tmp_path):
+        """Each 16-bit sample reads as its float64 value over 32768, bit for bit."""
+        ints = np.arange(-32768, 32768)
+        p = tmp_path / "all.wav"
+        p.write_bytes(build_wav(ints.tolist()))
+        samples = dsp.load_wav(p).samples
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == (ints.astype(np.float64) / 32768.0).tobytes()
+
     def test_empty_data_chunk(self, tmp_path):
         p = tmp_path / "e.wav"
         p.write_bytes(build_wav([]))

@@ -1,12 +1,17 @@
 """Audio, video, and structural network tests (shapes, counts, gradients)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                             AudioNetConfig, audio_forward, build_audio_net)
-from mdnn.errors import ConfigError, DimensionError
+from mdnn.errors import ConfigError, DimensionError, ParameterError
 from mdnn.layers import Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
@@ -235,3 +240,41 @@ def test_nets_end_at_the_logits(build, shape, output):
     assert isinstance(net.layers[-1][1], Dense)
     x = np.random.default_rng(3).standard_normal(shape)
     assert np.array_equal(net.run(x), ops.activation(net.forward(x), net.output))
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=seed),
+    lambda seed: build_video_net(TINY_VIDEO_CONFIG, rng_seed=seed),
+    lambda seed: fusion.build_fusion_head(rng_seed=seed),
+], ids=["audio", "video", "fusion"])
+def test_negative_seed_is_parameter_error(build):
+    """A negative seed is refused by name, not handed to NumPy, both when a
+    net is built and when it is jittered; None builds an all-zero net."""
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        build(-1)
+    net = build(None)
+    assert not any(p.any() for p in net.params.values())
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        net.jitter(-1)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+def test_unseeded_paper_scale_nets_leave_their_pages_untouched():
+    """Building the paper-scale video and audio nets with ``rng_seed=None``,
+    as ``load_net`` does, writes none of their parameter or gradient pages:
+    peak RSS rises by far less than their 180 MB of gradients."""
+    code = ("import resource; from mdnn import audio_net, video_net; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "nets = [video_net.build_video_net(video_net.VideoNetConfig(), rng_seed=None), "
+            "audio_net.build_audio_net(audio_net.AudioNetConfig(), rng_seed=None)]; "
+            "grads = sum(g.nbytes for n in nets for g in n.grads.values()); "
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "print(grads, (after - before) * 1024)")
+    src = str(Path(fusion.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    grad_bytes, rss_rise = map(int, out.split())
+    assert grad_bytes > 80_000_000
+    assert rss_rise < 60_000_000
