@@ -34,10 +34,10 @@ from .errors import DimensionError, ParameterError
 from .ops import ConvSpec
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
+def _seeded_rng(seed: int, offset: int = 0) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(seed + offset)
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -141,7 +141,7 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout; the mask stream is owned by ``reseed`` for determinism.
+    """Inverted dropout; ``Net.reseed_dropout`` seeds its mask stream ``rng``.
 
     A batch's mask is one draw of the batch's shape, so it equals the masks of
     its samples drawn one after another from the same stream.
@@ -153,9 +153,6 @@ class Dropout(Layer):
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng = np.random.default_rng(0)
-
-    def reseed(self, seed: int):
-        self.rng = np.random.default_rng(seed)
 
     def forward(self, x, mode="eval"):
         self._mask = None
@@ -374,10 +371,11 @@ class Net(Composite):
 
     def reseed_dropout(self, seed: int):
         """Seed each ``Dropout`` with ``seed`` plus its layer index, so a layer
-        inserted before a ``Dropout`` changes that dropout's masks."""
+        inserted before a ``Dropout`` changes that dropout's masks.
+        ParameterError for a negative seed, if the net has a ``Dropout``."""
         for i, (_, layer) in enumerate(self.layers):
             if isinstance(layer, Dropout):
-                layer.reseed(seed + i)
+                layer.rng = _seeded_rng(seed, i)
 
     def forward(self, x, mode="eval"):
         for _, layer in self.layers:

@@ -1,23 +1,21 @@
-"""Model persistence: one parameter container and two text records per model.
+"""Model persistence: one parameter container and one text record per model.
 
-A model directory holds ``model.txt`` (kind and architecture, key=value
-lines), ``params.ntc`` (a rank-1 container of every parameter in namespace
-order: its payload is ``Net.param_bytes()``, the shapes come from the
-architecture) and ``params.txt``, the commit record: the parameter names, one
-a line, then ``sha256=<hex>`` of that payload.  A fusion bundle holds the
-three model directories and ``bundle.txt``: the concatenation order and each
-part's hash.  ``read_kv`` reads every key=value file, config files included.
+A model directory holds ``params.ntc``, a rank-1 container of every
+parameter in namespace order (its payload is ``Net.param_bytes()``; the
+shapes come from the architecture), and ``model.txt``, the commit record:
+kind and architecture, then ``params`` (the names, comma-joined) and
+``params_sha256`` (of the payload), as key=value lines.  A fusion bundle
+holds the three model directories and ``bundle.txt``: the concatenation order
+and the SHA-256 of each part's ``model.txt``, which covers the part whole.
+``read_kv`` reads every key=value file, config files included.
 
 Each file is written to ``<name>.tmp``, then moved onto its name with
-``os.replace``: ``params.ntc``, ``model.txt``, ``params.txt``; a bundle's
-three parts, then ``bundle.txt``.  A save stopped by an exception or a kill
-loads as the old model, the new one, or not at all (FormatError): a newer
-``params.ntc`` fails the old ``params.txt``'s hash, a newer part the old
-``bundle.txt``'s, unless its parameters are unchanged (those hashes do not
-cover ``model.txt``).  ``params.ntc`` goes first because a new ``model.txt``
-can keep every parameter shape (a video net's frame count).  No ``fsync`` is
-done, so a power loss is not covered.  The earlier layout, one ``.ntc`` file
-per parameter, does not load: save the model again.
+``os.replace``: ``params.ntc``, then ``model.txt``; a bundle's three parts,
+then ``bundle.txt``.  A save stopped by an exception or a kill loads as the
+old model, the new one, or not at all (FormatError): a newer ``params.ntc``
+fails the old ``model.txt``'s hash, a newer part the old ``bundle.txt``'s.
+No ``fsync`` is done, so a power loss is not covered.  Earlier layouts (one
+``.ntc`` file per parameter, or a ``params.txt``) do not load: save again.
 """
 
 from __future__ import annotations
@@ -50,14 +48,16 @@ def _lines_bytes(lines) -> bytes:
     return "".join(f"{line}\n" for line in lines).encode()
 
 
-def read_kv(path) -> dict[str, tuple[str, int]]:
+def read_kv(path, text: str | None = None) -> dict[str, tuple[str, int]]:
     """key -> (value, line number) of each key=value line of the text file
-    ``path``, both sides stripped; blank lines and ``#`` comments are skipped.
+    ``path`` (or of its ``text``, if read), both sides stripped; blank lines
+    and ``#`` comments are skipped.
     A line without ``=``, or a key given twice, is a FormatError naming the
     line (and the first, for a repeat).  The one reader of ``model.txt``,
     ``bundle.txt`` and training config files."""
     out = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    text = read_text(path) if text is None else text
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,13 +113,15 @@ def model_kind(net: Net) -> str:
     return next((k for k, (cls, _) in _KINDS.items() if isinstance(cfg, cls)), "fusion")
 
 
-def _arch_mapping(net: Net) -> dict:
+def _model_txt(net: Net, payload: bytes) -> bytes:
+    """``model.txt``'s bytes: kind, architecture, parameter names, payload hash."""
     out = {"kind": model_kind(net)}
     cfg = getattr(net, "config", None)
     for f in dataclasses.fields(cfg) if cfg is not None else ():
         value = getattr(cfg, f.name)  # a tuple as x-joined ints, as parse_fields reads it
         out[f.name] = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
-    return out
+    out.update(params=",".join(net.params), params_sha256=hashlib.sha256(payload).hexdigest())
+    return _lines_bytes(map("=".join, out.items()))
 
 
 def _build_from_lines(lines: dict, path) -> Net:
@@ -145,40 +147,45 @@ def param_sha256(net: Net) -> str:
 
 def save_net(directory, net: Net) -> str:
     """Write ``net`` into ``directory``, over any model already there, and
-    return its ``param_sha256``; see the module docstring for the order."""
+    return the SHA-256 of its ``model.txt``; the module docstring has the order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = net.param_bytes()
-    digest = hashlib.sha256(payload).hexdigest()
     _write(directory / "params.ntc", container_header((len(payload) // 8,)), payload)
-    _write(directory / "model.txt", _lines_bytes(map("=".join, _arch_mapping(net).items())))
-    _write(directory / "params.txt", _lines_bytes([*net.params, f"sha256={digest}"]))
-    return digest
+    record = _model_txt(net, payload)
+    _write(directory / "model.txt", record)
+    return hashlib.sha256(record).hexdigest()
 
 
-def load_net(directory) -> Net:
+def load_net(directory, model_sha256: str | None = None) -> Net:
     """The net ``model.txt`` describes, filled from ``params.ntc`` once its
-    value count and SHA-256 match ``params.txt``.  One finiteness pass over
-    the whole payload, whose failure names the tensor of the first non-finite
+    names, value count and SHA-256 match ``model.txt``'s; a ``model_sha256``
+    must be that of the ``model.txt`` bytes.  Each file is read once.  One
+    finiteness pass over the payload names the tensor of the first non-finite
     value; then each tensor is copied into the array the architecture
     allocated."""
     directory = Path(directory)
     path, ntc = directory / "model.txt", directory / "params.ntc"
-    net = _build_from_lines(read_kv(path), path)
+    text = read_text(path)  # strict UTF-8, so text.encode() is the file's bytes
+    if model_sha256 is not None and hashlib.sha256(text.encode()).hexdigest() != model_sha256:
+        raise FormatError(f"{path}: hash mismatch with bundle.txt")
     if not ntc.exists():
         raise FormatError(f"{ntc}: missing; a directory of one .ntc file per "
                           "parameter is the earlier layout: save the model again")
-    *names, digest = read_text(directory / "params.txt").split() or [""]
-    if names != list(net.params) or not digest.startswith("sha256="):
-        raise FormatError(f"{directory / 'params.txt'}: expected the architecture's "
-                          "parameter names, one a line, then sha256=<hex>")
+    lines = read_kv(path, text)
+    _check_keys(lines, [*lines, "params", "params_sha256"], path)  # both present
+    (names, lineno), (digest, _) = lines.pop("params"), lines.pop("params_sha256")
+    net = _build_from_lines(lines, path)
+    if names.split(",") != list(net.params):
+        raise FormatError(f"{path}:{lineno}: expected params= the architecture's "
+                          "parameter names, comma-joined in order")
     values = read_container(ntc)
     ends = np.cumsum([p.size for p in net.params.values()])
     if values.shape != (ends[-1],):
         raise FormatError(f"{ntc}: shape {values.shape}, expected ({ends[-1]},), "
                           "the architecture's value count")
-    if f"sha256={hashlib.sha256(values).hexdigest()}" != digest:
-        raise FormatError(f"{ntc}: parameter hash mismatch with params.txt")
+    if hashlib.sha256(values).hexdigest() != digest:
+        raise FormatError(f"{ntc}: parameter hash mismatch with model.txt")
     finite = np.isfinite(values)
     if not finite.all():  # name the tensor holding the first non-finite value
         first = int(np.argmin(finite))
@@ -189,9 +196,9 @@ def load_net(directory) -> Net:
     return net
 
 
-def load_part(directory, part: str) -> Net:
+def load_part(directory, part: str, model_sha256: str | None = None) -> Net:
     """``load_net``, refusing a model of any kind but ``part`` (``model_kind``)."""
-    net = load_net(directory)
+    net = load_net(directory, model_sha256)
     if model_kind(net) != part:
         raise FormatError(f"{directory}: model kind is {model_kind(net)!r}, expected {part!r}")
     return net
@@ -206,17 +213,11 @@ def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
 
 
 def load_bundle(directory):
-    """The three parts of the bundle in ``directory``, each refused unless its
-    ``params.txt`` hash is ``bundle.txt``'s for that part."""
+    """The three parts of the bundle in ``directory``, each refused unless the
+    SHA-256 of its ``model.txt`` is ``bundle.txt``'s for that part."""
     directory, path = Path(directory), Path(directory) / "bundle.txt"
     meta = read_kv(path)  # key -> (value, line number)
     _check_keys(meta, ["concat_order"] + [f"{part}_sha256" for part in _PARTS], path)
     if meta["concat_order"][0] != ",".join(CONCAT_ORDER):
         raise FormatError(f"{directory}: unexpected concat order {meta['concat_order'][0]!r}")
-    nets = {}
-    for part in _PARTS:
-        nets[part] = load_part(directory / part, part)
-        record = read_text(directory / part / "params.txt").split()
-        if record[-1] != f"sha256={meta[f'{part}_sha256'][0]}":
-            raise FormatError(f"{directory}: {part} parameter hash mismatch")
-    return tuple(nets.values())
+    return tuple(load_part(directory / part, part, meta[f"{part}_sha256"][0]) for part in _PARTS)

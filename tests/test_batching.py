@@ -138,9 +138,9 @@ def test_train_mode_dropout_masks_match_sequential_draws(name):
 
 def test_dropout_layer_batch_mask_is_sequential_draws():
     layer = Dropout(0.4)
-    layer.reseed(5)
+    layer.rng = np.random.default_rng(5)
     batch = layer.forward(np.ones((4, 7)), mode="train")
-    layer.reseed(5)
+    layer.rng = np.random.default_rng(5)
     assert np.array_equal(batch, np.stack([layer.forward(np.ones(7), mode="train")
                                            for _ in range(4)]))
 

@@ -161,11 +161,33 @@ class TestExtractInspect:
 
 class TestTrainEvalPredict:
     def test_model_directory_layout(self, workspace):
+        """A model directory is model.txt and params.ntc; a bundle is
+        bundle.txt and three such parts.  Training adds its epochs.csv."""
         for part in ("audio", "video", "bundle/video", "bundle/audio", "bundle/fusion"):
             files = sorted(p.name for p in (workspace / part).iterdir())
             assert files == ["epochs.csv"] * (part in ("audio", "video")) + [
-                "model.txt", "params.ntc", "params.txt"]
-        assert (workspace / "bundle" / "bundle.txt").exists()
+                "model.txt", "params.ntc"]
+        assert sorted(p.name for p in (workspace / "bundle").iterdir()) == [
+            "audio", "bundle.txt", "epochs.csv", "fusion", "video"]
+
+    def test_predict_reads_each_bundle_file_once(self, workspace, monkeypatch, capsys):
+        """One predict reads bundle.txt and the three model.txt files as text,
+        and the three params.ntc containers, each once."""
+        row, bundle = dm.read_manifest(workspace / "data" / "manifest.csv")[0], workspace / "bundle"
+        texts, containers = [], []
+        for module, name, calls in ((dm, "read_text", texts), (model_io, "read_text", texts),
+                                    (dm, "read_container", containers),
+                                    (model_io, "read_container", containers)):
+            def counted(path, _read=getattr(module, name), _calls=calls):
+                _calls.append(Path(path))
+                return _read(path)
+            monkeypatch.setattr(module, name, counted)
+        assert run(["predict", "--model-dir", str(bundle),
+                    "--video", row.video_path, "--audio", row.audio_path]) == 0
+        assert sorted(texts) == [bundle / "audio" / "model.txt", bundle / "bundle.txt",
+                                 bundle / "fusion" / "model.txt", bundle / "video" / "model.txt"]
+        assert sorted(p for p in containers if bundle in p.parents) == [
+            bundle / part / "params.ntc" for part in ("audio", "fusion", "video")]
 
     def test_eval_each_model(self, workspace, capsys):
         for part in ("audio", "video", "bundle"):
@@ -434,8 +456,15 @@ class TestTypedParseErrors:
         assert np.isfinite(dm.read_container(model / "params.ntc")[0])
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
-        assert (f"{model / 'params.ntc'}: parameter hash mismatch with params.txt"
+        assert (f"{model / 'params.ntc'}: parameter hash mismatch with model.txt"
                 in capsys.readouterr().err)
+
+    @staticmethod
+    def architecture_only(model_txt: Path):
+        """Cut ``model_txt`` back to its kind and architecture lines, as the
+        earlier layouts wrote it."""
+        lines = model_txt.read_text().splitlines(True)
+        model_txt.write_text("".join(ln for ln in lines if not ln.startswith("params")))
 
     def test_earlier_layout_names_the_missing_container(self, workspace, tmp_path, capsys):
         """A directory of one .ntc file per parameter (no params.ntc, no hash
@@ -444,7 +473,7 @@ class TestTypedParseErrors:
         model.mkdir()
         net = model_io.load_net(workspace / "audio")
         shutil.copy(workspace / "audio" / "model.txt", model)
-        (model / "params.txt").write_text("".join(n + "\n" for n in net.params))
+        self.architecture_only(model / "model.txt")
         for name, value in net.params.items():
             dm.write_container(model / (name.replace("/", "__") + ".ntc"), value)
         assert run(["eval", "--model-dir", str(model),
@@ -452,13 +481,26 @@ class TestTypedParseErrors:
         assert (f"{model / 'params.ntc'}: missing; a directory of one .ntc file per "
                 "parameter is the earlier layout" in capsys.readouterr().err)
 
+    def test_params_txt_layout_names_model_txt(self, workspace, tmp_path, capsys):
+        """The three-file layout (model.txt of the architecture alone,
+        params.ntc, and params.txt holding the names and sha256=<hex>) is a
+        format error naming model.txt's missing key."""
+        model = tmp_path / "audio"
+        shutil.copytree(workspace / "audio", model)
+        net = model_io.load_net(model)
+        self.architecture_only(model / "model.txt")
+        (model / "params.txt").write_text("".join(n + "\n" for n in net.params)
+                                          + f"sha256={model_io.param_sha256(net)}\n")
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert f"{model / 'model.txt'}: missing key 'params'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, target", [
         ("train", "data/manifest.csv"),
         ("train", "train.cfg"),
         ("eval", "audio/model.txt"),
-        ("eval", "audio/params.txt"),
         ("predict", "bundle/bundle.txt"),
-    ], ids=["manifest", "config_file", "model_txt", "params_txt", "bundle_txt"])
+    ], ids=["manifest", "config_file", "model_txt", "bundle_txt"])
     def test_non_utf8_text_file(self, workspace, tmp_path, capsys, command, target):
         """A text file with a byte that is not UTF-8 is a data error naming it."""
         for part in ("data", "audio", "bundle"):
@@ -651,30 +693,35 @@ class TestTypedParseErrors:
                     "--video", str(clip), "--audio", row.audio_path]) == 2
         assert "at least one frame" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("save, stop", [("save_net", k) for k in range(4)]
-                             + [("save_bundle", k) for k in range(11)])
+    @pytest.mark.parametrize("save, stop", [("save_net", k) for k in range(3)]
+                             + [("save_bundle", k) for k in range(8)]
+                             + [("save_bundle_same_params", k) for k in range(8)])
     def test_interrupted_save_loads_old_new_or_neither(self, workspace, tmp_path,
                                                        monkeypatch, capsys, save, stop):
         """A save over an existing model that stops after ``stop`` of its file
-        writes (3 for a model, 10 for a bundle) leaves a directory that loads
-        as the old model (no file replaced), as the new one (all replaced), or
-        not at all: a FormatError, exit 2 through the CLI; never as a mix.
-        Every file of the new model differs from the old one's.  The new
-        video net reads 8 frames, not 4, with the same parameter shapes, so
-        its model.txt alone does not change what params.ntc must hold."""
+        writes (2 for a model, 7 for a bundle) leaves a directory that loads
+        as the old model, as the new one (all replaced), or not at all: a
+        FormatError, exit 2 through the CLI; never as a mix.  The new video
+        net reads 8 frames, not 4, with the same parameter shapes, so its
+        model.txt alone does not change what params.ntc must hold.  In
+        ``save_net`` and ``save_bundle`` every parameter changes too, so only
+        a save stopped before its first write loads as old.
+        ``save_bundle_same_params`` keeps the video and audio parameters and
+        changes the fusion head's: its first write gives video/params.ntc the
+        same bytes (old), its second the 8-frame video model.txt, which the
+        old bundle.txt's hash refuses until bundle.txt is replaced."""
         if save == "save_net":  # the models as 1-tuples of nets, as bundles are 3-tuples
-            target, writes, load = tmp_path / "video", 3, lambda d: (model_io.load_net(d),)
+            target, writes, load = tmp_path / "video", 2, lambda d: (model_io.load_net(d),)
             shutil.copytree(workspace / "video", target)
-            old = load(target)
-            new = (build_video_net(dataclasses.replace(old[0].config, input_shape=(1, 8, 16, 16)),
-                                   rng_seed=None),)
-            for name, p in new[0].params.items():
-                p[...] = old[0].params[name]
         else:
-            target, writes, load = tmp_path / "bundle", 10, model_io.load_bundle
+            target, writes, load = tmp_path / "bundle", 7, model_io.load_bundle
             shutil.copytree(workspace / "bundle", target)
-            old, new = load(target), load(target)
-        for net in new:
+        old, new = load(target), list(load(target))
+        new[0] = build_video_net(dataclasses.replace(old[0].config, input_shape=(1, 8, 16, 16)),
+                                 rng_seed=None)
+        for name, p in new[0].params.items():
+            p[...] = old[0].params[name]
+        for net in new[2:] if save == "save_bundle_same_params" else new:
             for p in net.params.values():
                 p += 1.0
 
@@ -690,11 +737,12 @@ class TestTypedParseErrors:
             write(path, *chunks)
 
         monkeypatch.setattr(model_io, "_write", stopping_write)
+        save_fn = model_io.save_net if save == "save_net" else model_io.save_bundle
         if stop < writes:
             with pytest.raises(OSError):
-                getattr(model_io, save)(target, *new)
+                save_fn(target, *new)
         else:
-            getattr(model_io, save)(target, *new)
+            save_fn(target, *new)
         assert len(written) == min(stop, writes)
         try:
             got = fingerprint(load(target))
@@ -702,10 +750,17 @@ class TestTypedParseErrors:
                        "new" if got == fingerprint(new) else "mix")
         except FormatError:
             outcome = "refused"
-            assert run(["eval", "--model-dir", str(target),
-                        "--data", str(workspace / "data" / "manifest.csv")]) == 2
-            assert str(target) in capsys.readouterr().err
-        assert outcome == ("old" if stop == 0 else "new" if stop == writes else "refused")
+            row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+            assert run(["eval", "--model-dir", str(target), "--data",
+                        str(workspace / "data" / "manifest.csv")] if save == "save_net" else
+                       ["predict", "--model-dir", str(target),
+                        "--video", row.video_path, "--audio", row.audio_path]) == 2
+            err = capsys.readouterr().err
+            assert str(target) in err
+            if save == "save_bundle_same_params":
+                assert f"{target / 'video' / 'model.txt'}: hash mismatch with bundle.txt" in err
+        unchanged = 2 if save == "save_bundle_same_params" else 1  # writes that keep old loading
+        assert outcome == ("old" if stop < unchanged else "new" if stop == writes else "refused")
 
     @pytest.mark.parametrize("shape", [(2, 8, 16, 16), (8, 16, 16)],
                              ids=["two_channels", "rank_3"])

@@ -108,8 +108,10 @@ def test_seeded_param_sha256(name):
 @pytest.mark.parametrize("name", sorted(MODEL_TXT))
 def test_model_txt_bytes_and_roundtrip(name, tmp_path):
     net = BUILDERS[name]()
-    model_io.save_net(tmp_path, net)
-    assert (tmp_path / "model.txt").read_text() == MODEL_TXT[name]
+    digest = model_io.save_net(tmp_path, net)
+    assert digest == hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+    assert (tmp_path / "model.txt").read_text() == MODEL_TXT[name] + (
+        f"params={','.join(net.params)}\nparams_sha256={model_io.param_sha256(net)}\n")
     loaded = model_io.load_net(tmp_path)
     assert getattr(loaded, "config", None) == getattr(net, "config", None)
     assert loaded.param_bytes() == net.param_bytes()

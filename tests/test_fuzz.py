@@ -239,7 +239,7 @@ def test_config_file(files, text):
 NON_DIGITS = b" =x#\n-a._\xff"
 EXTRA_LINES = [b"kind=video", b"kind=fusion", b"extra=1", b"dense1_width=8",
                b"stage_channels=4x8", b"input_shape=1x4x16", b"dense1__w", b"#",
-               b"dense1/w", b"sha256=", b"sha256=00"]
+               b"params=dense1/w", b"params_sha256=", b"params_sha256=00"]
 
 
 def mutated_copy(files, part, name, data):
@@ -257,7 +257,7 @@ def mutated_copy(files, part, name, data):
 
 
 @settings(FUZZ, max_examples=75)
-@given(name=st.sampled_from(["model.txt", "params.txt", "params.ntc"]), data=st.data())
+@given(name=st.sampled_from(["model.txt", "params.ntc"]), data=st.data())
 def test_mutated_model_directory(files, name, data):
     model = mutated_copy(files, "audio", name, data) / "audio"
     net = expect_typed(model_io.load_net, model)
@@ -267,7 +267,7 @@ def test_mutated_model_directory(files, name, data):
 
 @settings(FUZZ, max_examples=75)
 @given(where=st.sampled_from([(".", "bundle.txt"), ("video", "model.txt"),
-                              ("fusion", "params.txt"), ("audio", "params.ntc")]),
+                              ("fusion", "model.txt"), ("audio", "params.ntc")]),
        data=st.data())
 def test_mutated_bundle(files, where, data):
     bundle = mutated_copy(files, *where, data)

@@ -12,7 +12,7 @@ from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                             AudioNetConfig, audio_forward, build_audio_net)
 from mdnn.errors import ConfigError, DimensionError, ParameterError
-from mdnn.layers import Conv2Plus1D, Dense, Net, Residual2Plus1DBlock
+from mdnn.layers import Conv2Plus1D, Dense, Dropout, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
                             video_forward)
@@ -256,6 +256,22 @@ def test_negative_seed_is_parameter_error(build):
     assert not any(p.any() for p in net.params.values())
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         net.jitter(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, -10])
+def test_reseed_dropout_negative_seed_is_parameter_error(seed):
+    """A negative dropout seed is refused by name, as in ``init_params``,
+    whether or not it is still negative plus the dropout's layer index (5 in
+    the tiny audio net); a valid seed gives the dropout the stream of the seed
+    plus its index."""
+    net = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0)
+    [(index, dropout)] = [(i, lay) for i, (_, lay) in enumerate(net.layers)
+                          if isinstance(lay, Dropout)]
+    assert index == 5
+    with pytest.raises(ParameterError, match=f"seed must be >= 0, got {seed}"):
+        net.reseed_dropout(seed)
+    net.reseed_dropout(2)
+    assert dropout.rng.random(4).tobytes() == np.random.default_rng(7).random(4).tobytes()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

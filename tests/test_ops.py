@@ -200,7 +200,7 @@ class TestActivations:
 
 def dropout_train(x, rate, seed):
     layer = Dropout(rate)
-    layer.reseed(seed)
+    layer.rng = np.random.default_rng(seed)
     return layer.forward(x, mode="train")
 
 
