@@ -1,11 +1,13 @@
 """Audio classifier over MFCC matrices.
 
 A sample is a (frames, 13, 1) matrix as ``dsp.mfcc`` writes it; the first
-layer views it as a one-channel (1, frames, 13) image.  Two 16-filter 3x3
-valid convolutions with ReLU, dropout, flatten, a hidden dense layer, then a
-2-unit dense layer: the logits, which the net's sigmoid output squashes
-elementwise.  The two output probabilities are independent (they need not
-sum to 1); the predicted class is their argmax.
+layer views it as a one-channel (1, frames, 13) image.  Two valid 3x3
+convolutions (``KERNEL``) with ReLU, dropout at rate 0.5 (``DROPOUT_RATE``),
+flatten, a hidden dense layer, then a 2-unit dense layer (``NUM_CLASSES``):
+the logits, which the net's sigmoid output squashes elementwise.  The two
+output probabilities are independent (they need not sum to 1); the predicted
+class is their argmax.  A config holds only the sizes that vary: the frame
+count, the filters of both convolutions and the hidden width.
 """
 
 from __future__ import annotations
@@ -14,69 +16,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
 from .errors import ConfigError
 from .layers import Conv2D, Dense, Dropout, Net, ReLU, Reshape
-from .ops import ConvSpec, conv_out_size
+from .ops import ConvSpec
+
+KERNEL = (3, 3)  # both convolutions: valid padding, stride 1
+DROPOUT_RATE = 0.5
+NUM_CLASSES = 2
 
 
 @dataclass(frozen=True)
 class AudioNetConfig:
-    input_shape: tuple[int, int, int] = (778, 13, 1)  # frames x coeffs x 1
+    frames: int = dsp.REFERENCE_FRAMES
     conv_filters: int = 16
-    kernel: tuple[int, int] = (3, 3)
-    dropout_rate: float = 0.5
     dense1_width: int = 64
-    num_classes: int = 2
 
-    def validate(self):
-        if len(self.input_shape) != 3 or len(self.kernel) != 2:
-            raise ConfigError(f"input_shape needs 3 entries and kernel 2, "
-                              f"got {self.input_shape} and {self.kernel}")
-        sizes = self.input_shape + self.kernel + (self.conv_filters, self.dense1_width)
-        if min(sizes) < 1:
-            raise ConfigError(f"every size must be >= 1, got input_shape={self.input_shape} "
-                              f"kernel={self.kernel} conv_filters={self.conv_filters} "
-                              f"dense1_width={self.dense1_width}")
-        if self.input_shape[2] != 1:
-            raise ConfigError(f"input_shape must have 1 channel, got {self.input_shape}")
-        if self.num_classes != 2:
-            raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
+    def __post_init__(self):
+        kh, _ = KERNEL
+        if min(self.frames - 2 * (kh - 1), self.conv_filters, self.dense1_width) < 1:
+            raise ConfigError(f"need frames >= {2 * kh - 1} for two valid convolutions and "
+                              f"every other size >= 1, got frames={self.frames} "
+                              f"conv_filters={self.conv_filters} dense1_width={self.dense1_width}")
+
+    @property
+    def input_shape(self) -> tuple[int, int, int]:
+        """One sample: frames x MFCC coefficients x 1."""
+        return (self.frames, dsp.N_MFCC, 1)
 
     def flatten_width(self) -> int:
         """Values per sample after the two valid convolutions."""
-        h, w, _ = self.input_shape
-        kh, kw = self.kernel
-        for _layer in range(2):
-            if h < kh or w < kw:
-                raise ConfigError(f"input {self.input_shape} too small for kernel {self.kernel}")
-            h = conv_out_size(h, kh, 1, "valid")
-            w = conv_out_size(w, kw, 1, "valid")
-        return h * w * self.conv_filters
+        kh, kw = KERNEL
+        return (self.frames - 2 * (kh - 1)) * (dsp.N_MFCC - 2 * (kw - 1)) * self.conv_filters
 
 
-TINY_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1))
+TINY_AUDIO_CONFIG = AudioNetConfig(frames=16)
 
 # Narrow enough for exhaustive finite-difference checking.
-GRADCHECK_AUDIO_CONFIG = AudioNetConfig(input_shape=(16, 13, 1),
-                                        conv_filters=2, dense1_width=8)
+GRADCHECK_AUDIO_CONFIG = AudioNetConfig(frames=16, conv_filters=2, dense1_width=8)
 
 
 def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | None = 0) -> Net:
-    config.validate()
-    kh, kw = config.kernel
-    frames, coeffs, _ = config.input_shape
     f = config.conv_filters
     net = Net([
-        ("image", Reshape((1, frames, coeffs))),
-        ("conv1", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", 1, f))),
+        ("image", Reshape((1, config.frames, dsp.N_MFCC))),
+        ("conv1", Conv2D(ConvSpec(*KERNEL, (1, 1), "valid", 1, f))),
         ("relu1", ReLU()),
-        ("conv2", Conv2D(ConvSpec(kh, kw, (1, 1), "valid", f, f))),
+        ("conv2", Conv2D(ConvSpec(*KERNEL, (1, 1), "valid", f, f))),
         ("relu2", ReLU()),
-        ("dropout", Dropout(config.dropout_rate)),
+        ("dropout", Dropout(DROPOUT_RATE)),
         ("flatten", Reshape((-1,))),
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
         ("relu3", ReLU()),
-        ("dense2", Dense(config.dense1_width, config.num_classes)),
+        ("dense2", Dense(config.dense1_width, NUM_CLASSES)),
     ], config.input_shape, output="sigmoid")
     net.config = config
     net.init_params(rng_seed)

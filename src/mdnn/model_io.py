@@ -29,7 +29,7 @@ import numpy as np
 
 from .audio_net import AudioNetConfig, build_audio_net
 from .data import container_header, read_container, read_text
-from .errors import ConfigError, FormatError, ParameterError
+from .errors import ConfigError, FormatError
 from .fusion import CONCAT_ORDER, build_fusion_head
 from .layers import Net
 from .video_net import VideoNetConfig, build_video_net
@@ -124,9 +124,13 @@ def _model_txt(net: Net, payload: bytes) -> bytes:
     return _lines_bytes(map("=".join, out.items()))
 
 
-def _build_from_lines(lines: dict, path) -> Net:
+def _build_from_lines(lines: dict, path, tensors: int) -> Net:
     """The net a model.txt's ``read_kv`` lines describe, its parameters left
-    at zero (no random draw) for ``load_net`` to fill."""
+    at zero (no random draw) for ``load_net`` to fill.  A video architecture
+    of more parameter tensors than ``tensors``, the ``params=`` name count,
+    is refused before it is built, since building takes time and memory
+    linear in its blocks: each residual block holds at least 8 tensors, and
+    the stem and head 6."""
     kind = lines.pop("kind", (None,))[0]
     if kind == "fusion":
         _check_keys(lines, (), path)  # a fusion head has no other key
@@ -136,13 +140,14 @@ def _build_from_lines(lines: dict, path) -> Net:
     cls, build = _KINDS[kind]
     _check_keys(lines, [f.name for f in dataclasses.fields(cls)], path)
     try:
-        return build(cls(**parse_fields(dataclasses.fields(cls), lines, path)), rng_seed=None)
-    except (ConfigError, ParameterError) as e:
+        config = cls(**parse_fields(dataclasses.fields(cls), lines, path))
+    except ConfigError as e:
         raise FormatError(f"{path}: {e}") from None
-
-
-def param_sha256(net: Net) -> str:
-    return hashlib.sha256(net.param_bytes()).hexdigest()
+    if kind == "video" and 8 * config.blocks_per_stage * len(config.stage_channels) + 6 > tensors:
+        raise FormatError(f"{path}:{lines['blocks_per_stage'][1]}: blocks_per_stage="
+                          f"{config.blocks_per_stage} needs more parameter tensors than "
+                          f"the {tensors} params= names")
+    return build(config, rng_seed=None)
 
 
 def save_net(directory, net: Net) -> str:
@@ -175,8 +180,9 @@ def load_net(directory, model_sha256: str | None = None) -> Net:
     lines = read_kv(path, text)
     _check_keys(lines, [*lines, "params", "params_sha256"], path)  # both present
     (names, lineno), (digest, _) = lines.pop("params"), lines.pop("params_sha256")
-    net = _build_from_lines(lines, path)
-    if names.split(",") != list(net.params):
+    names = names.split(",")
+    net = _build_from_lines(lines, path, len(names))
+    if names != list(net.params):
         raise FormatError(f"{path}:{lineno}: expected params= the architecture's "
                           "parameter names, comma-joined in order")
     values = read_container(ntc)

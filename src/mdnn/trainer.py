@@ -310,7 +310,7 @@ def write_epoch_log_csv(path, logs: list[EpochLog]):
 # ----- feature assembly from manifests ---------------------------------------
 
 def audio_features(rows, config: AudioNetConfig) -> list[np.ndarray]:
-    return [datamod.audio_input(row.audio_path, config.input_shape[0]) for row in rows]
+    return [datamod.audio_input(row.audio_path, config.frames) for row in rows]
 
 
 def video_features(rows, config: VideoNetConfig) -> list[np.ndarray]:

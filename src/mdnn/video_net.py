@@ -2,8 +2,10 @@
 
 Stem convolution, then stages of residual blocks (stride 2 in space and time
 at every stage transition), global average pooling and a 2-unit dense layer
-to the logits, with a softmax output.  The full-scale channel plan is the
-classic 64/128/256/512; the tiny configs exist for fast tests and gradient
+(``NUM_CLASSES``) to the logits, with a softmax output.  The kernels are
+``Conv2Plus1D``'s.  A config holds the input shape, the channels of each
+stage and the blocks per stage; the full-scale channel plan is the classic
+64/128/256/512, and the tiny configs exist for fast tests and gradient
 checks.
 """
 
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .layers import Conv2Plus1D, Dense, GlobalAvgPool, Net, Residual2Plus1DBlock
+
+NUM_CLASSES = 2
 
 
 @dataclass(frozen=True)
@@ -22,13 +26,12 @@ class VideoNetConfig:
     input_shape: tuple[int, int, int, int] = (3, 16, 112, 112)  # C x T x H x W
     stage_channels: tuple[int, ...] = (64, 128, 256, 512)
     blocks_per_stage: int = 2
-    num_classes: int = 2
 
     @property
     def stem_channels(self) -> int:
         return self.stage_channels[0]
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.input_shape) != 4:
             raise ConfigError(f"input_shape needs 4 entries, got {self.input_shape}")
         sizes = self.input_shape + self.stage_channels + (self.blocks_per_stage,)
@@ -37,8 +40,6 @@ class VideoNetConfig:
                               f"input_shape={self.input_shape} "
                               f"stage_channels={self.stage_channels} "
                               f"blocks_per_stage={self.blocks_per_stage}")
-        if self.num_classes != 2:
-            raise ConfigError(f"num_classes must be 2, got {self.num_classes}")
 
 
 TINY_VIDEO_CONFIG = VideoNetConfig(
@@ -50,7 +51,6 @@ GRADCHECK_VIDEO_CONFIG = VideoNetConfig(
 
 
 def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | None = 0) -> Net:
-    config.validate()
     c_in = config.input_shape[0]
     layers: list = [("stem", Conv2Plus1D(c_in, config.stem_channels))]
     prev = config.stem_channels
@@ -61,7 +61,7 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | N
             prev = ch
     layers += [
         ("pool", GlobalAvgPool()),
-        ("head", Dense(prev, config.num_classes)),
+        ("head", Dense(prev, NUM_CLASSES)),
     ]
     net = Net(layers, config.input_shape, output="softmax_lastdim")
     net.config = config
@@ -81,4 +81,5 @@ def param_count(net: Net, mode: str = "factored") -> int:
         return sum(net.params[w].size for w in net.weight_names)
     if mode == "full3d_equivalent":
         return net.full3d_weight_count()
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ParameterError(f"unknown param_count mode {mode!r}, expected 'factored' or "
+                         "'full3d_equivalent'")

@@ -4,6 +4,8 @@ The training runs are shared between the module tests and the acceptance
 suite so the expensive work happens once per session.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ def comp_audio_feats(comp_rows):
 @pytest.fixture(scope="session")
 def comp_video_feats(comp_rows):
     return trainer.video_features(comp_rows, TINY_VIDEO_CONFIG)
+
+
+def param_sha256(net) -> str:
+    """SHA-256 of ``net.param_bytes()``, the payload of its ``params.ntc``."""
+    return hashlib.sha256(net.param_bytes()).hexdigest()
 
 
 def make_splits(feats, rows, split_seed):

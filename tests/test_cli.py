@@ -15,7 +15,9 @@ from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.cli import run
 from mdnn.errors import FormatError
 from mdnn.fusion import fused_forward
-from mdnn.video_net import build_video_net, video_forward
+from mdnn.video_net import VideoNetConfig, build_video_net, video_forward
+
+from conftest import param_sha256
 
 
 @pytest.fixture(scope="module")
@@ -340,33 +342,68 @@ class TestTypedParseErrors:
                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "epochs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("part, edit", [
-        ("audio", lambda t: t.replace("num_classes=2\n", "")),
-        ("audio", lambda t: t.replace("conv_filters=16", "conv_filters=sixteen")),
-        ("audio", lambda t: t.replace("kernel=3x3", "kernel=3xx3")),
-        ("audio", lambda t: t.replace("kernel=3x3", "kernel=3")),
-        ("video", lambda t: t.replace("input_shape=1x4x16x16", "input_shape=1x4x16")),
-        ("audio", lambda t: t.replace("dropout_rate=0.5", "dropout_rate=1.5")),
-        ("video", lambda t: t.replace("stage_channels=8x16", "stage_channels=0x16")),
-        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=0")),
-        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=-3")),
-        ("audio", lambda t: t.replace("num_classes=2", "num_classes=-1")),
-        ("video", lambda t: t.replace("num_classes=2", "num_classes=-1")),
-        ("video", lambda t: t.replace("num_classes=2", "num_classes=3")),
-        ("audio", lambda t: t.replace("input_shape=16x13x1", "input_shape=16x13x2")),
-        ("audio", lambda t: t.replace("input_shape=16x13x1", "input_shape=16x13x0")),
-        ("video", lambda t: t.replace("blocks_per_stage=1", "blocks_per_stage=0")),
-    ], ids=["missing_key", "non_numeric", "bad_tuple", "short_kernel", "short_input_shape",
-            "dropout_out_of_range", "zero_channels", "zero_width", "negative_width",
-            "audio_negative_classes", "video_negative_classes", "three_classes",
-            "two_audio_channels", "zero_audio_channels", "zero_blocks"])
-    def test_bad_model_txt(self, workspace, tmp_path, capsys, part, edit):
+    @pytest.mark.parametrize("part, edit, says", [
+        ("audio", lambda t: t.replace("dense1_width=64\n", ""), "missing key 'dense1_width'"),
+        ("audio", lambda t: t.replace("conv_filters=16", "conv_filters=sixteen"),
+         "conv_filters='sixteen' is not a valid int"),
+        ("video", lambda t: t.replace("stage_channels=8x16", "stage_channels=8xx16"),
+         "stage_channels='8xx16' is not a valid tuple"),
+        ("video", lambda t: t.replace("input_shape=1x4x16x16", "input_shape=1x4x16"),
+         "input_shape needs 4 entries"),
+        ("video", lambda t: t.replace("stage_channels=8x16", "stage_channels=0x16"),
+         "every size >= 1"),
+        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=0"), "dense1_width=0"),
+        ("audio", lambda t: t.replace("dense1_width=64", "dense1_width=-3"), "dense1_width=-3"),
+        ("audio", lambda t: t.replace("frames=16", "frames=4"), "need frames >= 5"),
+        ("video", lambda t: t.replace("blocks_per_stage=1", "blocks_per_stage=0"),
+         "blocks_per_stage=0"),
+        # a line that model.txt carried before the value it names became a
+        # constant of the net: an unknown key, refused and not ignored
+        ("audio", lambda t: t + "kernel=3\n", "unknown key 'kernel'"),
+        ("audio", lambda t: t + "dropout_rate=1.5\n", "unknown key 'dropout_rate'"),
+        ("audio", lambda t: t + "num_classes=-1\n", "unknown key 'num_classes'"),
+        ("video", lambda t: t + "num_classes=-1\n", "unknown key 'num_classes'"),
+        ("video", lambda t: t + "num_classes=3\n", "unknown key 'num_classes'"),
+        ("audio", lambda t: t + "input_shape=16x13x2\n", "unknown key 'input_shape'"),
+        ("audio", lambda t: t + "input_shape=16x13x0\n", "unknown key 'input_shape'"),
+        # the whole audio record of that layout is refused at its first such key
+        ("audio", lambda t: t.replace(
+            "frames=16\nconv_filters=16\ndense1_width=64\n",
+            "input_shape=16x13x1\nconv_filters=16\nkernel=3x3\ndropout_rate=0.5\n"
+            "dense1_width=64\nnum_classes=2\n"), "model.txt:2: unknown key 'input_shape'"),
+    ], ids=["missing_key", "non_numeric", "bad_tuple", "short_input_shape", "zero_channels",
+            "zero_width", "negative_width", "too_few_frames", "zero_blocks",
+            "short_kernel", "dropout_out_of_range", "audio_negative_classes",
+            "video_negative_classes", "three_classes", "two_audio_channels",
+            "zero_audio_channels", "earlier_audio_layout"])
+    def test_bad_model_txt(self, workspace, tmp_path, capsys, part, edit, says):
         model = tmp_path / part
         shutil.copytree(workspace / part, model)
         (model / "model.txt").write_text(edit((model / "model.txt").read_text()))
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
-        assert "model.txt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(model / "model.txt") in err and says in err
+
+    def test_too_many_blocks_refused_before_building(self, workspace, tmp_path, capsys,
+                                                     monkeypatch):
+        """A video model.txt whose blocks_per_stage needs more parameter
+        tensors than its params= line names is refused before the net is
+        built, whose time and memory grow with the blocks."""
+        def build(config, rng_seed):
+            raise AssertionError("built the net")
+
+        monkeypatch.setitem(model_io._KINDS, "video", (VideoNetConfig, build))
+        model = tmp_path / "video"
+        shutil.copytree(workspace / "video", model)
+        text = (model / "model.txt").read_text()
+        (model / "model.txt").write_text(
+            text.replace("blocks_per_stage=1", "blocks_per_stage=4000"))
+        lineno = text.splitlines().index("blocks_per_stage=1") + 1
+        assert run(["eval", "--model-dir", str(model),
+                    "--data", str(workspace / "data" / "manifest.csv")]) == 2
+        assert (f"{model / 'model.txt'}:{lineno}: blocks_per_stage=4000 needs more "
+                "parameter tensors than the" in capsys.readouterr().err)
 
     def test_unknown_model_txt_key(self, workspace, tmp_path, capsys):
         """A key that is not in the model's architecture (here a misspelt
@@ -385,8 +422,8 @@ class TestTypedParseErrors:
         model = tmp_path / "audio"
         shutil.copytree(workspace / "audio", model)
         text = (model / "model.txt").read_text()
-        (model / "model.txt").write_text(text.replace("kernel=3x3", "kernel 3x3"))
-        lineno = text.splitlines().index("kernel=3x3") + 1
+        (model / "model.txt").write_text(text.replace("conv_filters=16", "conv_filters 16"))
+        lineno = text.splitlines().index("conv_filters=16") + 1
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert f"{model / 'model.txt'}:{lineno}: expected key=value" in capsys.readouterr().err
@@ -490,7 +527,7 @@ class TestTypedParseErrors:
         net = model_io.load_net(model)
         self.architecture_only(model / "model.txt")
         (model / "params.txt").write_text("".join(n + "\n" for n in net.params)
-                                          + f"sha256={model_io.param_sha256(net)}\n")
+                                          + f"sha256={param_sha256(net)}\n")
         assert run(["eval", "--model-dir", str(model),
                     "--data", str(workspace / "data" / "manifest.csv")]) == 2
         assert f"{model / 'model.txt'}: missing key 'params'" in capsys.readouterr().err

@@ -3,14 +3,17 @@ are pinned to the values recorded before the residual-block namespace and the
 config codec were refactored, so a change to either cannot move them; the tiny
 forward outputs were re-pinned once since, from the code that lowers only the
 kernel-width axis of a convolution, whose summation order moved one audio
-output by 8 ulps.  Preprocessed video clips of seeded inputs are pinned to the
+output by 8 ulps, and the model.txt text once, when the net configs dropped the
+values that can take only one: the audio ``input_shape`` became ``frames``, and
+the audio kernel, dropout rate and class count and the video class count became
+module constants.  Preprocessed video clips of seeded inputs are pinned to the
 values recorded before the video resize became one call over all frames.  MFCC
 features of seeded inputs are pinned to the values of the MFCC whose mel and
 DCT stages add their terms in a fixed order; they hold at any BLAS thread
 count.  Two seeded epochs of tiny training of each net (the video net, the
 audio net with its dropout on, and the fusion head on the two trained nets'
-outputs) are pinned, parameters and epoch losses, to the values recorded
-before ``Net`` took its input shape at construction; they hold at 1 and 2 BLAS
+outputs) are pinned, parameters and epoch losses, to the values recorded before
+``Net`` took its input shape at construction; they hold at 1 and 2 BLAS
 threads.  The paper-scale nets are left out: their forward and training bits
 change with the BLAS thread count."""
 
@@ -26,6 +29,8 @@ from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, AudioNetC
 from mdnn.fusion import build_fusion_head, fused_forward
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG, VideoNetConfig,
                             build_video_net, video_forward)
+
+from conftest import param_sha256
 
 BUILDERS = {
     "video_tiny": lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=0),
@@ -47,13 +52,11 @@ PARAM_SHA256 = {
 
 MODEL_TXT = {
     "video_tiny": "kind=video\ninput_shape=1x4x16x16\nstage_channels=8x16\n"
-                  "blocks_per_stage=1\nnum_classes=2\n",
+                  "blocks_per_stage=1\n",
     "video_gradcheck": "kind=video\ninput_shape=1x2x5x5\nstage_channels=2x3\n"
-                       "blocks_per_stage=1\nnum_classes=2\n",
-    "audio_tiny": "kind=audio\ninput_shape=16x13x1\nconv_filters=16\nkernel=3x3\n"
-                  "dropout_rate=0.5\ndense1_width=64\nnum_classes=2\n",
-    "audio_gradcheck": "kind=audio\ninput_shape=16x13x1\nconv_filters=2\nkernel=3x3\n"
-                       "dropout_rate=0.5\ndense1_width=8\nnum_classes=2\n",
+                       "blocks_per_stage=1\n",
+    "audio_tiny": "kind=audio\nframes=16\nconv_filters=16\ndense1_width=64\n",
+    "audio_gradcheck": "kind=audio\nframes=16\nconv_filters=2\ndense1_width=8\n",
     "fusion": "kind=fusion\n",
 }
 
@@ -102,7 +105,7 @@ def _sha256(a: np.ndarray) -> str:
 
 @pytest.mark.parametrize("name", sorted(PARAM_SHA256))
 def test_seeded_param_sha256(name):
-    assert model_io.param_sha256(BUILDERS[name]()) == PARAM_SHA256[name]
+    assert param_sha256(BUILDERS[name]()) == PARAM_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_TXT))
@@ -111,7 +114,7 @@ def test_model_txt_bytes_and_roundtrip(name, tmp_path):
     digest = model_io.save_net(tmp_path, net)
     assert digest == hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
     assert (tmp_path / "model.txt").read_text() == MODEL_TXT[name] + (
-        f"params={','.join(net.params)}\nparams_sha256={model_io.param_sha256(net)}\n")
+        f"params={','.join(net.params)}\nparams_sha256={param_sha256(net)}\n")
     loaded = model_io.load_net(tmp_path)
     assert getattr(loaded, "config", None) == getattr(net, "config", None)
     assert loaded.param_bytes() == net.param_bytes()
@@ -162,5 +165,5 @@ def test_seeded_tiny_training_bitwise(tmp_path):
     for name, (net, features) in runs.items():  # in training order
         sets = [trainer.paired(features(part), part) for part in (train_rows, val_rows)]
         logs = trainer.train_net(net, *sets, cfg)
-        got[name] = (model_io.param_sha256(net), [log.train_loss.hex() for log in logs])
+        got[name] = (param_sha256(net), [log.train_loss.hex() for log in logs])
     assert got == TRAINED

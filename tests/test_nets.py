@@ -64,7 +64,16 @@ class TestAudioNet:
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigError):
-            AudioNetConfig(input_shape=(4, 2, 1)).flatten_width()
+            AudioNetConfig(frames=4)
+
+    def test_config_checks_itself(self):
+        """A config is checked when it is made: 5 frames is the least that two
+        valid 3x3 convolutions leave a row of, and no other size may be below 1."""
+        assert AudioNetConfig(frames=5).input_shape == (5, 13, 1)
+        assert AudioNetConfig(frames=5).flatten_width() == 1 * 9 * 16
+        for sizes in ({"conv_filters": 0}, {"dense1_width": -1}):
+            with pytest.raises(ConfigError):
+                AudioNetConfig(**sizes)
 
     def test_gradient_check(self):
         net = build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=1)
@@ -161,8 +170,8 @@ def enumerate_weight_counts(cfg: VideoNetConfig):
                 factored += prev * ch
                 full3d += prev * ch
         prev = ch
-    factored += prev * cfg.num_classes
-    full3d += prev * cfg.num_classes
+    factored += prev * 2  # the 2-class head
+    full3d += prev * 2
     return factored, full3d
 
 
@@ -178,6 +187,11 @@ class TestVideoNet:
         f, g = enumerate_weight_counts(VideoNetConfig())
         assert param_count(net, "factored") == f
         assert param_count(net, "full3d_equivalent") == g
+
+    def test_param_count_unknown_mode(self):
+        net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
+        with pytest.raises(ParameterError, match="'full3d'"):
+            param_count(net, "full3d")
 
     def test_factored_count_matches_stored_arrays(self):
         net = build_video_net(TINY_VIDEO_CONFIG, rng_seed=0)
