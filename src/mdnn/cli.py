@@ -33,11 +33,11 @@ def _read_config_file(path) -> dict:
 
 
 def _train_config(args) -> TrainConfig:
-    """Config file values, overridden by explicit flags, over the defaults."""
+    """Config file values, overridden by each field's flag, over the defaults."""
     values = _read_config_file(args.config) if args.config else {}
     fields = dataclasses.fields(TrainConfig)
     for f in fields:
-        flag = getattr(args, f.name, None)
+        flag = getattr(args, f.name)
         if flag is not None:
             values[f.name] = flag
     cfg = TrainConfig(**values)
@@ -167,7 +167,7 @@ def cmd_predict(args) -> int:
 
 def cmd_param_count(args) -> int:
     video_cfg, _ = _model_configs(args.tiny)
-    net = build_video_net(video_cfg, rng_seed=0)
+    net = build_video_net(video_cfg, rng_seed=None)  # counts need no values
     factored = param_count(net, "factored")
     full = param_count(net, "full3d_equivalent")
     print(f"factored weights:         {factored}")

@@ -1,9 +1,11 @@
 """Training protocol: Adam, L1/L2 regularization, splits, metrics, loops.
 
 Defaults mirror the reference protocol: batch size 8, learning rate 0.001,
-bias-corrected Adam, 50 epochs, 80/10/10 train/validation/test split.  Every
-run is bitwise deterministic for a fixed seed: parameter init, shuffling,
-dropout masks and batch order are all driven by the configured seed.
+bias-corrected Adam, 50 epochs, 80/10/10 train/validation/test split.  A run
+varies only the six ``TrainConfig`` values; Adam's beta1, beta2 and eps are
+the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  Every run is
+bitwise deterministic for a fixed seed: parameter init, shuffling, dropout
+masks and batch order are all driven by the configured seed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .layers import Net
 from .video_net import VideoNetConfig, video_forward
 
 PROB_CLAMP = 1e-12  # clamp on p for the reported strict-domain BCE only
+# Adam's published defaults (Kingma & Ba, ICLR 2015), the only values trained with
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -29,9 +33,6 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 0.001
     epochs: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     regularization: str = "none"  # none | L1 | L2
     reg_lambda: float = 1e-4
     rng_seed: int = 0
@@ -41,18 +42,13 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        for name in ("learning_rate", "reg_lambda", "eps"):
+        for name in ("learning_rate", "reg_lambda"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.reg_lambda < 0:
             raise ConfigError("reg_lambda must be >= 0")
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.regularization not in ("none", "L1", "L2"):
             raise ConfigError(f"unknown regularization {self.regularization!r}")
         if self.rng_seed < 0:
@@ -119,7 +115,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 raise TrainingError(f"non-finite gradient in tensor {name!r}")
     state["t"] += 1
     t = state["t"]
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         for pb, g, m, v in ops.blocks(p, grads[name], state["m"][name], state["v"][name]):
             a = scratch_a[:pb.size].reshape(pb.shape)
@@ -133,7 +129,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             a *= config.learning_rate
             np.divide(v, 1 - b2 ** t, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += config.eps
+            b += ADAM_EPS
             a /= b
             pb -= a
     return params, state
@@ -142,9 +138,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 def reg_penalty(net: Net, kind: str, lam: float) -> float:
     """The L1 or L2 penalty over ``net.weight_names`` (biases excluded),
     summed in the namespace order of ``net.params``, so that it does not
-    depend on the set's string-hash order; its gradient, lam * sign(w) or
-    2 * lam * w, is added into ``net.grads`` in place, one ``ops.blocks`` run
-    at a time through one block of scratch."""
+    depend on the set's string-hash order.  One pass of ``ops.blocks`` runs
+    through one block of scratch: each block adds its |w| or w^2 sum to its
+    tensor's total (the sum over blocks in order, so a tensor of several
+    blocks may differ from one whole-tensor sum in the last bits), then its
+    gradient, lam * sign(w) or 2 * lam * w, into ``net.grads`` in place."""
     if kind == "none" or lam == 0.0:
         return 0.0
     if kind not in ("L1", "L2"):
@@ -154,18 +152,17 @@ def reg_penalty(net: Net, kind: str, lam: float) -> float:
     scratch = np.empty(min(max((net.params[n].size for n in names), default=0),
                            ops.BLOCK_VALUES))
     for name in names:
-        w = net.params[name]
-        if kind == "L1":
-            penalty += lam * float(np.abs(w).sum())
-        else:
-            penalty += lam * float((w * w).sum())
-        for wb, gb in ops.blocks(w, net.grads[name]):
+        total = 0.0
+        for wb, gb in ops.blocks(net.params[name], net.grads[name]):
             contrib = scratch[:wb.size].reshape(wb.shape)
             if kind == "L1":
+                total += float(np.abs(wb, out=contrib).sum())
                 np.multiply(lam, np.sign(wb, out=contrib), out=contrib)
             else:
+                total += float(np.multiply(wb, wb, out=contrib).sum())
                 np.multiply(2.0 * lam, wb, out=contrib)
             gb += contrib
+        penalty += lam * total
     return penalty
 
 

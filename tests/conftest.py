@@ -5,10 +5,15 @@ suite so the expensive work happens once per session.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdnn
 from mdnn import data as dm
 from mdnn import trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, build_audio_net
@@ -52,6 +57,15 @@ def comp_video_feats(comp_rows):
 def param_sha256(net) -> str:
     """SHA-256 of ``net.param_bytes()``, the payload of its ``params.ntc``."""
     return hashlib.sha256(net.param_bytes()).hexdigest()
+
+
+def python_stdout(code: str) -> str:
+    """Stdout of ``code`` run in a new Python process that imports this
+    checkout's ``mdnn``, so that its ``ru_maxrss`` starts fresh."""
+    src = str(Path(mdnn.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
 
 
 def make_splits(feats, rows, split_seed):

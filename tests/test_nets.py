@@ -1,9 +1,6 @@
 """Audio, video, and structural network tests (shapes, counts, gradients)."""
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +13,8 @@ from mdnn.layers import Conv2Plus1D, Dense, Dropout, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
                             video_forward)
+
+from conftest import python_stdout
 
 
 class TestAudioNet:
@@ -301,10 +300,6 @@ def test_unseeded_paper_scale_nets_leave_their_pages_untouched():
             "grads = sum(g.nbytes for n in nets for g in n.grads.values()); "
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
             "print(grads, (after - before) * 1024)")
-    src = str(Path(fusion.__file__).resolve().parents[1])
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
-    grad_bytes, rss_rise = map(int, out.split())
+    grad_bytes, rss_rise = map(int, python_stdout(code).split())
     assert grad_bytes > 80_000_000
     assert rss_rise < 60_000_000

@@ -58,7 +58,7 @@ class TestAdam:
         kept here as the oracle, gives the same bits for p, m and v."""
         def oracle(params, grads, state, config):
             state["t"] += 1
-            t, b1, b2 = state["t"], config.beta1, config.beta2
+            t, b1, b2 = state["t"], trainer.ADAM_BETA1, trainer.ADAM_BETA2
             for name, p in params.items():
                 g, m, v = grads[name], state["m"][name], state["v"][name]
                 m *= b1
@@ -67,7 +67,7 @@ class TestAdam:
                 v += (1 - b2) * g * g
                 m_hat = m / (1 - b1 ** t)
                 v_hat = v / (1 - b2 ** t)
-                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + trainer.ADAM_EPS)
 
         # sizes differ; "d/w" spans two whole blocks and a ragged tail
         shapes = {"a/w": (7, 3), "a/b": (3,), "c/ws": (2, 1, 3, 3),
@@ -164,25 +164,48 @@ class TestRegularization:
         net.weight_names = ["c/w", "b/w", "a/w"]  # would sum to 1 + 2**-52
         assert reg_penalty(net, "L1", 1.0) == 1.0
 
-    @pytest.mark.parametrize("kind", ["L1", "L2"])
-    def test_blocked_equals_whole_tensor_formula(self, kind):
-        """Over a weight of several blocks, the penalty and the gradient added
-        block by block are bitwise the whole-tensor formula's."""
-        lam = 0.01
-        in_dim = 2 * ops.BLOCK_VALUES // 16 + 3
+    @staticmethod
+    def _multi_block_net():
+        in_dim = 2 * ops.BLOCK_VALUES // 16 + 3  # "d/w" is 2 blocks and a ragged tail
         net = Net([("d", Dense(in_dim, 16))], (in_dim,))
         net.init_params(0)
+        return net
+
+    @pytest.mark.parametrize("kind", ["L1", "L2"])
+    def test_blocked_equals_whole_tensor_formula(self, kind):
+        """Over a weight of several blocks, the gradient added block by block
+        is bitwise the whole-tensor formula's; the penalty is the sum of the
+        per-block sums in order, within rounding of the whole-tensor sum."""
+        lam = 0.01
+        net = self._multi_block_net()
         w = net.params["d/w"]
         g0 = np.random.default_rng(1).standard_normal(w.shape)
         net.grads["d/w"][...] = g0
         penalty = reg_penalty(net, kind, lam)
-        if kind == "L1":
-            assert penalty == lam * float(np.abs(w).sum())
-            assert np.array_equal(net.grads["d/w"], g0 + lam * np.sign(w))
-        else:
-            assert penalty == lam * float((w * w).sum())
-            assert np.array_equal(net.grads["d/w"], g0 + 2.0 * lam * w)
+        terms = np.abs(w) if kind == "L1" else w * w
+        flat = terms.reshape(-1)
+        block_sums = [float(flat[i:i + ops.BLOCK_VALUES].sum())
+                      for i in range(0, flat.size, ops.BLOCK_VALUES)]
+        assert len(block_sums) == 3
+        assert penalty == lam * sum(block_sums)
+        assert penalty == pytest.approx(lam * float(terms.sum()), rel=1e-14)
+        grad = lam * np.sign(w) if kind == "L1" else 2.0 * lam * w
+        assert np.array_equal(net.grads["d/w"], g0 + grad)
         assert not np.any(net.grads["d/b"])
+
+    @pytest.mark.parametrize("kind", ["L1", "L2"])
+    def test_allocates_one_block(self, kind):
+        """The penalty sums go through the same one block of scratch as the
+        gradient: no weight-sized temporary."""
+        net = self._multi_block_net()
+        tracemalloc.start()
+        try:
+            reg_penalty(net, kind, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.params["d/w"].nbytes > 2 * ops.BLOCK_VALUES * 8
+        assert peak < 1.5 * ops.BLOCK_VALUES * 8
 
     @pytest.mark.parametrize("kind", ["L1", "L2"])
     def test_gradient_matches_finite_differences(self, kind):
