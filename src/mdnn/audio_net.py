@@ -69,8 +69,7 @@ def build_audio_net(config: AudioNetConfig = AudioNetConfig(), rng_seed: int | N
         ("dense1", Dense(config.flatten_width(), config.dense1_width)),
         ("relu3", ReLU()),
         ("dense2", Dense(config.dense1_width, NUM_CLASSES)),
-    ], config.input_shape, output="sigmoid")
-    net.config = config
+    ], config.input_shape, output="sigmoid", config=config)
     net.init_params(rng_seed)
     return net
 

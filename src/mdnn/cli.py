@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric failure.
+``run`` sets every exit code: a command returns nothing, and ``run`` maps
+its success to 0 and each error it raises to that error's code.
 An input too large to fit in memory (a ``MemoryError``) is a data error, exit 2.
 Diagnostics go to stderr, results to stdout.  Every run prints its fully
 resolved configuration so invocations are reproducible from the log alone.
@@ -18,8 +20,7 @@ import numpy as np
 
 from . import data as datamod
 from . import dsp, model_io, trainer
-from .audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
-                        AudioNetConfig, build_audio_net)
+from .audio_net import GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, build_audio_net
 from .errors import (ConfigError, DomainError, FormatError, GradientCheckError,
                      InputError, MdnnError, TrainingError)
 from .fusion import CONCAT_ORDER, build_fusion_head
@@ -46,24 +47,18 @@ def _train_config(args) -> TrainConfig:
     return cfg
 
 
-def _model_configs(tiny: bool):
-    return ((TINY_VIDEO_CONFIG, TINY_AUDIO_CONFIG) if tiny
-            else (VideoNetConfig(), AudioNetConfig()))
-
-
-def cmd_extract(args) -> int:
+def cmd_extract(args):
     datamod.write_container(args.outfile,
                             datamod.audio_input(args.infile, dsp.REFERENCE_FRAMES))
     print(f"wrote {args.outfile}")
-    return 0
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args):
     t = datamod.read_container(args.infile)
     print(f"shape: {t.shape}")
     if t.size == 0:
         print("no values")
-        return 0
+        return
     finite = t[np.isfinite(t)]
     if t.size > finite.size:
         print(f"non-finite: nan={np.count_nonzero(np.isnan(t))} "
@@ -72,13 +67,11 @@ def cmd_inspect(args) -> int:
         # a sum of x / n cannot overflow where the sum of x would
         mean = np.sum(finite / finite.size)
         print(f"min: {finite.min():.6g}  max: {finite.max():.6g}  mean: {mean:.6g}")
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     manifest = datamod.synth_dataset(args.n, args.kind, args.seed, args.out)
     print(f"wrote {manifest}")
-    return 0
 
 
 def _load_split(args, rows):
@@ -100,20 +93,17 @@ def _pairs(kind: str, rows, net, frozen=None) -> list:
     return trainer.paired(features(rows, net.config), rows)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     cfg = _train_config(args)
     parts = _load_split(args, datamod.read_manifest(args.data))
-    video_cfg, audio_cfg = _model_configs(args.tiny)
     out = Path(args.out)
 
     frozen = None
-    if args.model == "video":
-        net = build_video_net(video_cfg, rng_seed=cfg.rng_seed)
-    elif args.model == "audio":
-        net = build_audio_net(audio_cfg, rng_seed=cfg.rng_seed)
-    else:
+    if args.model == "fusion":
         frozen = tuple(map(model_io.load_part, (args.video_dir, args.audio_dir), CONCAT_ORDER))
-        net = build_fusion_head(rng_seed=cfg.rng_seed)
+    cls, build = model_io.KINDS[args.model]  # the paper's architecture, or --tiny's
+    tiny = {"video": TINY_VIDEO_CONFIG, "audio": TINY_AUDIO_CONFIG} if args.tiny else {}
+    net = build(config=tiny.get(args.model, cls()), rng_seed=cfg.rng_seed)
     sets = {k: _pairs(args.model, rows, net, frozen) for k, rows in parts.items()}
     logs = trainer.train_net(net, sets["train"], sets["val"], cfg)
     if frozen:
@@ -123,7 +113,6 @@ def cmd_train(args) -> int:
     trainer.write_epoch_log_csv(out / "epochs.csv", logs)
     last = logs[-1]
     print(f"final train_loss={last.train_loss:.6f} val_accuracy={last.val_accuracy}")
-    return 0
 
 
 def _print_report(prefix, r: trainer.MetricsReport):
@@ -133,7 +122,7 @@ def _print_report(prefix, r: trainer.MetricsReport):
           f"recall={fmt(r.recall)} (tp={r.tp} fp={r.fp} fn={r.fn} tn={r.tn})")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     rows = datamod.read_manifest(args.data)
     part = _load_split(args, rows)[args.split]
     model_dir = Path(args.model_dir)
@@ -148,10 +137,9 @@ def cmd_eval(args) -> int:
                               "its bundle directory, the parent of this one")
     report = trainer.evaluate(net.run, _pairs(model_io.model_kind(net), part, net, frozen))
     _print_report(f"{args.split}:", report)
-    return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args):
     vnet, anet, fnet = model_io.load_bundle(args.model_dir)
     # the eval path's features of one row; its label is not read
     x, = trainer.fusion_features([datamod.ManifestRow(args.video, args.audio, 0)], vnet, anet)
@@ -162,27 +150,25 @@ def cmd_predict(args) -> int:
     print(f"y_video: [{yv[0]:.6f}, {yv[1]:.6f}]")
     print(f"y_audio: [{ya[0]:.6f}, {ya[1]:.6f}]")
     print(f"fused:   [{p[0]:.6f}, {p[1]:.6f}]")
-    return 0
 
 
-def cmd_param_count(args) -> int:
-    video_cfg, _ = _model_configs(args.tiny)
-    net = build_video_net(video_cfg, rng_seed=None)  # counts need no values
+def cmd_param_count(args):
+    config = TINY_VIDEO_CONFIG if args.tiny else VideoNetConfig()
+    net = build_video_net(config=config, rng_seed=None)  # counts need no values
     factored = param_count(net, "factored")
     full = param_count(net, "full3d_equivalent")
     print(f"factored weights:         {factored}")
     print(f"full-3D equivalent:       {full}")
     print(f"ratio:                    {factored / full:.4f}")
-    return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args):
     rng = np.random.default_rng(7)
     if args.model == "audio":
-        net = build_audio_net(GRADCHECK_AUDIO_CONFIG, rng_seed=1)
+        net = build_audio_net(config=GRADCHECK_AUDIO_CONFIG, rng_seed=1)
         x = rng.standard_normal(net.input_shape)
     elif args.model == "video":
-        net = build_video_net(GRADCHECK_VIDEO_CONFIG, rng_seed=1)
+        net = build_video_net(config=GRADCHECK_VIDEO_CONFIG, rng_seed=1)
         x = rng.random(net.input_shape)
     else:
         net = build_fusion_head(rng_seed=1)
@@ -196,7 +182,6 @@ def cmd_gradcheck(args) -> int:
     if not report["ok"]:
         raise GradientCheckError(f"max relative error {report['max_rel_err']:.3e} "
                                  f"exceeds {report['tolerance']}")
-    return 0
 
 
 @functools.cache  # one parser per process; parse_args keeps no state between calls
@@ -272,7 +257,8 @@ def run(argv=None) -> int:
         if args.fn is cmd_train and args.model == "fusion" and not (
                 args.video_dir and args.audio_dir):
             parser.error("fusion training requires --video-dir and --audio-dir")
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     except (FormatError, InputError, OSError) as e:

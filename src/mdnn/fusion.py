@@ -4,12 +4,15 @@ The video and audio output vectors are concatenated (video first) into a
 4-vector that feeds a small two-layer head with a softmax output.  The
 unimodal networks are trained separately and stay frozen while the head is
 trained; binary cross-entropy is the loss for every network in the project.
+The head's config, ``FusionHeadConfig``, has no field: it only names the kind.
 Each loss in ``LOSSES`` trains nets with one output activation
 (``Net.output``), and for both pairs the gradient at the logits, where
 ``Net.backward`` starts, is (p - y)/N.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +26,18 @@ FUSION_HIDDEN_DIM = 16
 CONCAT_ORDER = ("video", "audio")
 
 
-def build_fusion_head(rng_seed: int | None = 0) -> Net:
+@dataclass(frozen=True)
+class FusionHeadConfig:
+    """The fusion head's architecture, which is fixed, so no field."""
+
+
+def build_fusion_head(rng_seed: int | None = 0,
+                      config: FusionHeadConfig = FusionHeadConfig()) -> Net:
     net = Net([
         ("dense1", Dense(FUSION_INPUT_DIM, FUSION_HIDDEN_DIM)),
         ("relu", ReLU()),
         ("dense2", Dense(FUSION_HIDDEN_DIM, 2)),
-    ], (FUSION_INPUT_DIM,), output="softmax_lastdim")
+    ], (FUSION_INPUT_DIM,), output="softmax_lastdim", config=config)
     net.init_params(rng_seed)
     return net
 

@@ -7,8 +7,9 @@ parameter gradients are summed over the batch.  A ``Net``'s ``forward`` and
 the logits and back.  ``Net.run`` is the one way to a net's probabilities: it
 checks that an input ends in the net's ``input_shape``, runs any leading axes
 in front of it as the batch (one sample as the N=1 batch) and applies the
-net's output activation (softmax or sigmoid).  A net takes samples in their
-data's layout; a ``Reshape`` layer gives the other layers the view they need.
+net's output activation (softmax or sigmoid), refusing a non-finite output
+(DomainError).  A net takes samples in their data's layout; a ``Reshape``
+layer gives the other layers the view they need.
 
 Ownership: a layer allocates its float64 ``params`` and their ``grads`` once,
 in ``Layer.__init__``; after that every write to them is in place
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError
 from .ops import ConvSpec
 
 
@@ -344,15 +345,16 @@ class Net(Composite):
     ``forward``/``backward`` run an N x ... batch through every layer once,
     from the input to the logits and back.  ``input_shape`` is the shape of
     one sample; ``output`` is the activation kind (``ops.activation``) that
-    ``run`` applies to the logits, None for none.
+    ``run`` applies to the logits, None for none; ``config`` is the config of
+    the ``model_io.KINDS`` builder that made the net, None for a hand-built one.
     """
 
     KEY = "{child}/{param}"
 
     def __init__(self, layers: list[tuple[str, Layer]], input_shape: tuple,
-                 output: str | None = None):
+                 output: str | None = None, config=None):
         super().__init__(layers)
-        self.input_shape, self.output = tuple(input_shape), output
+        self.input_shape, self.output, self.config = tuple(input_shape), output, config
 
     def init_params(self, seed: int | None):
         """He-uniform weights and zero biases drawn from ``seed``; None leaves
@@ -393,7 +395,7 @@ class Net(Composite):
         samples run as one batch through ``forward`` and the ``output``
         activation, and the result keeps the leading axes ``lead``, none for
         one sample.  DimensionError if the trailing axes are not
-        ``input_shape``."""
+        ``input_shape``, DomainError if an output is not finite."""
         x = np.asarray(x, dtype=np.float64)
         lead = x.shape[:max(0, x.ndim - len(self.input_shape))]
         if x.shape[len(lead):] != self.input_shape:
@@ -401,6 +403,8 @@ class Net(Composite):
         y = self.forward(x.reshape((-1,) + self.input_shape), mode)
         if self.output is not None:
             y = ops.activation(y, self.output)
+        if not np.isfinite(y).all():
+            raise DomainError("non-finite network output: its parameters or input overflow")
         return y.reshape(lead + y.shape[1:])
 
     def param_bytes(self) -> bytes:

@@ -4,9 +4,12 @@ A model directory holds ``params.ntc``, a rank-1 container of every
 parameter in namespace order (its payload is ``Net.param_bytes()``; the
 shapes come from the architecture), and ``model.txt``, the commit record:
 kind and architecture, then ``params`` (the names, comma-joined) and
-``params_sha256`` (of the payload), as key=value lines.  A fusion bundle
-holds the three model directories and ``bundle.txt``: the concatenation order
-and the SHA-256 of each part's ``model.txt``, which covers the part whole.
+``params_sha256`` (of the payload), as key=value lines.  ``KINDS`` names the
+kind of each builder's config, whose fields are the architecture (the fusion
+head's ``FusionHeadConfig`` has none); ``save_net`` writes no net of no kind.
+A fusion bundle holds a model directory per kind and ``bundle.txt``: the
+concatenation order and the SHA-256 of each part's ``model.txt``, which
+covers the part whole.
 ``read_kv`` reads every key=value file, config files included.
 
 Each file is written to ``<name>.tmp``, then moved onto its name with
@@ -30,7 +33,7 @@ import numpy as np
 from .audio_net import AudioNetConfig, build_audio_net
 from .data import container_header, read_container, read_text
 from .errors import ConfigError, FormatError
-from .fusion import CONCAT_ORDER, build_fusion_head
+from .fusion import CONCAT_ORDER, FusionHeadConfig, build_fusion_head
 from .layers import Net
 from .video_net import VideoNetConfig, build_video_net
 
@@ -102,23 +105,26 @@ def parse_fields(fields, lines: dict, path) -> dict:
     return out
 
 
-# model kind -> (config dataclass, builder); a net without a config is a fusion head
-_KINDS = {"audio": (AudioNetConfig, build_audio_net),
-          "video": (VideoNetConfig, build_video_net)}
-_PARTS = ("video", "audio", "fusion")  # a bundle's model subdirectories
+# model kind -> (config dataclass, builder), in bundle order: a bundle's
+# model subdirectories are the kinds
+KINDS = {"video": (VideoNetConfig, build_video_net),
+         "audio": (AudioNetConfig, build_audio_net),
+         "fusion": (FusionHeadConfig, build_fusion_head)}
 
 
 def model_kind(net: Net) -> str:
-    cfg = getattr(net, "config", None)
-    return next((k for k, (cls, _) in _KINDS.items() if isinstance(cfg, cls)), "fusion")
+    """The ``KINDS`` key of ``net.config``; ConfigError for a net of no kind."""
+    for kind, (cls, _) in KINDS.items():
+        if isinstance(net.config, cls):
+            return kind
+    raise ConfigError(f"a net of config {net.config!r} is of no model kind {tuple(KINDS)}")
 
 
 def _model_txt(net: Net, payload: bytes) -> bytes:
     """``model.txt``'s bytes: kind, architecture, parameter names, payload hash."""
     out = {"kind": model_kind(net)}
-    cfg = getattr(net, "config", None)
-    for f in dataclasses.fields(cfg) if cfg is not None else ():
-        value = getattr(cfg, f.name)  # a tuple as x-joined ints, as parse_fields reads it
+    for f in dataclasses.fields(net.config):
+        value = getattr(net.config, f.name)  # a tuple as x-joined ints, as parse_fields reads it
         out[f.name] = "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
     out.update(params=",".join(net.params), params_sha256=hashlib.sha256(payload).hexdigest())
     return _lines_bytes(map("=".join, out.items()))
@@ -132,12 +138,9 @@ def _build_from_lines(lines: dict, path, tensors: int) -> Net:
     linear in its blocks: each residual block holds at least 8 tensors, and
     the stem and head 6."""
     kind = lines.pop("kind", (None,))[0]
-    if kind == "fusion":
-        _check_keys(lines, (), path)  # a fusion head has no other key
-        return build_fusion_head(rng_seed=None)
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    cls, build = _KINDS[kind]
+    cls, build = KINDS[kind]
     _check_keys(lines, [f.name for f in dataclasses.fields(cls)], path)
     try:
         config = cls(**parse_fields(dataclasses.fields(cls), lines, path))
@@ -147,17 +150,18 @@ def _build_from_lines(lines: dict, path, tensors: int) -> Net:
         raise FormatError(f"{path}:{lines['blocks_per_stage'][1]}: blocks_per_stage="
                           f"{config.blocks_per_stage} needs more parameter tensors than "
                           f"the {tensors} params= names")
-    return build(config, rng_seed=None)
+    return build(config=config, rng_seed=None)
 
 
 def save_net(directory, net: Net) -> str:
     """Write ``net`` into ``directory``, over any model already there, and
-    return the SHA-256 of its ``model.txt``; the module docstring has the order."""
+    return the SHA-256 of its ``model.txt``; the module docstring has the order.
+    A net of no kind (``model_kind``) is refused before anything is written."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     payload = net.param_bytes()
-    _write(directory / "params.ntc", container_header((len(payload) // 8,)), payload)
     record = _model_txt(net, payload)
+    directory.mkdir(parents=True, exist_ok=True)
+    _write(directory / "params.ntc", container_header((len(payload) // 8,)), payload)
     _write(directory / "model.txt", record)
     return hashlib.sha256(record).hexdigest()
 
@@ -212,7 +216,7 @@ def load_part(directory, part: str, model_sha256: str | None = None) -> Net:
 
 def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
     directory = Path(directory)
-    nets = zip(_PARTS, (video_net, audio_net, fusion_net))
+    nets = zip(KINDS, (video_net, audio_net, fusion_net))
     hashes = [f"{part}_sha256={save_net(directory / part, net)}" for part, net in nets]
     _write(directory / "bundle.txt", _lines_bytes([f"concat_order={','.join(CONCAT_ORDER)}",
                                                    *hashes]))
@@ -223,7 +227,7 @@ def load_bundle(directory):
     SHA-256 of its ``model.txt`` is ``bundle.txt``'s for that part."""
     directory, path = Path(directory), Path(directory) / "bundle.txt"
     meta = read_kv(path)  # key -> (value, line number)
-    _check_keys(meta, ["concat_order"] + [f"{part}_sha256" for part in _PARTS], path)
+    _check_keys(meta, ["concat_order"] + [f"{part}_sha256" for part in KINDS], path)
     if meta["concat_order"][0] != ",".join(CONCAT_ORDER):
         raise FormatError(f"{directory}: unexpected concat order {meta['concat_order'][0]!r}")
-    return tuple(load_part(directory / part, part, meta[f"{part}_sha256"][0]) for part in _PARTS)
+    return tuple(load_part(directory / part, part, meta[f"{part}_sha256"][0]) for part in KINDS)

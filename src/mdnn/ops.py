@@ -67,27 +67,12 @@ def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def _pad_amounts(size: int, kernel: int, stride: int, padding: str) -> tuple[int, int]:
-    """(before, after) padding; 'same' puts the extra pixel after (bottom/right)."""
-    if padding == "valid":
-        return 0, 0
-    out = -(-size // stride)  # ceil
-    total = max((out - 1) * stride + kernel - size, 0)
-    return total // 2, total - total // 2
-
-
-def conv_out_size(size: int, kernel: int, stride: int, padding: str) -> int:
-    p0, p1 = _pad_amounts(size, kernel, stride, padding)
-    padded = size + p0 + p1
-    if padded < kernel:
-        raise DimensionError(f"kernel {kernel} larger than padded input {padded}")
-    return (padded - kernel) // stride + 1
-
-
 def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec):
     """(sh, sw, ph, pw, out_hw) of the convolution of x[*B, C, H, W] by the
     weights ``w`` and the bias ``b`` (None for none), after checking that
-    their shapes fit ``spec``."""
+    their shapes fit ``spec``: ph and pw are (before, after) padding, and
+    'same' puts the extra pixel after (bottom/right).  DimensionError for a
+    kernel larger than its padded input, H checked before W."""
     if x.ndim < 3:
         raise DimensionError(f"conv2d input must be [batch x] C x H x W, got shape {x.shape}")
     if w.shape != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
@@ -99,9 +84,15 @@ def _geometry(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
         raise DimensionError(f"bias shape {b.shape} != ({spec.out_channels},)")
     if x.shape[-3] != spec.in_channels:
         raise DimensionError(f"input has {x.shape[-3]} channels, spec expects {spec.in_channels}")
-    axes = tuple(zip(x.shape[-2:], (spec.kernel_h, spec.kernel_w), spec.stride))
-    ph, pw = (_pad_amounts(*axis, spec.padding) for axis in axes)
-    return (*spec.stride, ph, pw, tuple(conv_out_size(*axis, spec.padding) for axis in axes))
+    pads, out = [], []
+    for size, kernel, stride in zip(x.shape[-2:], (spec.kernel_h, spec.kernel_w), spec.stride):
+        total = 0 if spec.padding == "valid" else max(  # ceil(size / stride) outputs
+            (-(-size // stride) - 1) * stride + kernel - size, 0)
+        if size + total < kernel:
+            raise DimensionError(f"kernel {kernel} larger than padded input {size + total}")
+        pads.append((total // 2, total - total // 2))
+        out.append((size + total - kernel) // stride + 1)
+    return (*spec.stride, *pads, tuple(out))
 
 
 def _taps(size: int, k: int, stride: int, pad0: int, out: int):

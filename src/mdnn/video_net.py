@@ -63,8 +63,7 @@ def build_video_net(config: VideoNetConfig = VideoNetConfig(), rng_seed: int | N
         ("pool", GlobalAvgPool()),
         ("head", Dense(prev, NUM_CLASSES)),
     ]
-    net = Net(layers, config.input_shape, output="softmax_lastdim")
-    net.config = config
+    net = Net(layers, config.input_shape, output="softmax_lastdim", config=config)
     net.init_params(rng_seed)
     return net
 

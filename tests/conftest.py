@@ -59,13 +59,21 @@ def param_sha256(net) -> str:
     return hashlib.sha256(net.param_bytes()).hexdigest()
 
 
+def python_run(*args: str) -> subprocess.CompletedProcess:
+    """``python *args``, its output captured as text, in a new process that
+    imports this checkout's ``mdnn`` under Python's default warning filters."""
+    src = str(Path(mdnn.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def python_stdout(code: str) -> str:
     """Stdout of ``code`` run in a new Python process that imports this
     checkout's ``mdnn``, so that its ``ru_maxrss`` starts fresh."""
-    src = str(Path(mdnn.__file__).resolve().parents[1])
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+    done = python_run("-c", code)
+    done.check_returncode()
+    return done.stdout
 
 
 def make_splits(feats, rows, split_seed):

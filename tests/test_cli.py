@@ -15,12 +15,13 @@ from mdnn import data as dm
 from mdnn import model_io, trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.cli import build_parser, run
-from mdnn.errors import FormatError
+from mdnn.errors import ConfigError, FormatError
 from mdnn.fusion import fused_forward
+from mdnn.layers import Dense, Net
 from mdnn.trainer import TrainConfig
 from mdnn.video_net import VideoNetConfig, build_video_net, video_forward
 
-from conftest import param_sha256, python_stdout
+from conftest import param_sha256, python_run, python_stdout
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,26 @@ class TestTrainEvalPredict:
                     "--video", str(video), "--audio", row.audio_path]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_bundle_is_numeric_failure(self, workspace, tmp_path):
+        """A bundle whose video parameters are scaled by 1e150, its hashes
+        recomputed, loads (every value is finite) but its video outputs
+        overflow to nan: predict and eval end as a numeric failure, exit 3,
+        printing no nan as a probability or counting one as class 0.  Run as
+        the installed command runs, without pytest's warnings-as-errors."""
+        vnet, anet, fnet = model_io.load_bundle(workspace / "bundle")
+        for p in vnet.params.values():
+            p *= 1e150
+        model_io.save_bundle(tmp_path / "bundle", vnet, anet, fnet)
+        row = dm.read_manifest(workspace / "data" / "manifest.csv")[0]
+        data = ["--data", str(workspace / "data" / "manifest.csv"), "--split", "train"]
+        for argv in (["predict", "--model-dir", str(tmp_path / "bundle"),
+                      "--video", row.video_path, "--audio", row.audio_path],
+                     ["eval", "--model-dir", str(tmp_path / "bundle" / "video"), *data]):
+            done = python_run("-m", "mdnn.cli", *argv)
+            assert done.returncode == 3, (argv, done.stdout, done.stderr)
+            assert "numeric failure" in done.stderr and "Traceback" not in done.stderr
+            assert "nan" not in done.stdout
+
     def test_train_seed_reproducible(self, workspace, tmp_path, capsys):
         manifest = str(workspace / "data" / "manifest.csv")
         outs = []
@@ -436,7 +457,7 @@ class TestTypedParseErrors:
         def build(config, rng_seed):
             raise AssertionError("built the net")
 
-        monkeypatch.setitem(model_io._KINDS, "video", (VideoNetConfig, build))
+        monkeypatch.setitem(model_io.KINDS, "video", (VideoNetConfig, build))
         model = tmp_path / "video"
         shutil.copytree(workspace / "video", model)
         text = (model / "model.txt").read_text()
@@ -772,6 +793,14 @@ class TestTypedParseErrors:
         assert run(["predict", "--model-dir", str(workspace / "bundle"),
                     "--video", str(clip), "--audio", row.audio_path]) == 2
         assert "at least one frame" in capsys.readouterr().err
+
+    def test_save_net_of_no_kind_writes_nothing(self, tmp_path):
+        """A net that no builder of ``model_io.KINDS`` made has no config and
+        so no model kind: ``save_net`` refuses it before writing a file,
+        rather than recording it as a fusion head that cannot load."""
+        with pytest.raises(ConfigError, match="no model kind"):
+            model_io.save_net(tmp_path / "d", Net([("d", Dense(6, 3))], (6,)))
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("save, stop", [("save_net", k) for k in range(3)]
                              + [("save_bundle", k) for k in range(8)]

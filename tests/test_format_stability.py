@@ -116,7 +116,7 @@ def test_model_txt_bytes_and_roundtrip(name, tmp_path):
     assert (tmp_path / "model.txt").read_text() == MODEL_TXT[name] + (
         f"params={','.join(net.params)}\nparams_sha256={param_sha256(net)}\n")
     loaded = model_io.load_net(tmp_path)
-    assert getattr(loaded, "config", None) == getattr(net, "config", None)
+    assert loaded.config == net.config
     assert loaded.param_bytes() == net.param_bytes()
 
 

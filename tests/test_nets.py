@@ -8,7 +8,7 @@ import pytest
 from mdnn import fusion, ops
 from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG,
                             AudioNetConfig, audio_forward, build_audio_net)
-from mdnn.errors import ConfigError, DimensionError, ParameterError
+from mdnn.errors import ConfigError, DimensionError, DomainError, ParameterError
 from mdnn.layers import Conv2Plus1D, Dense, Dropout, Net, Residual2Plus1DBlock
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG,
                             VideoNetConfig, build_video_net, param_count,
@@ -237,13 +237,16 @@ class TestVideoNet:
         assert ops.gradient_check(net, x, tolerance=1e-4)["ok"]
 
 
-@pytest.mark.parametrize("build, shape, output", [
+RUN_CASES = pytest.mark.parametrize("build, shape, output", [
     (lambda: build_audio_net(TINY_AUDIO_CONFIG, rng_seed=0), (3,) + TINY_AUDIO_CONFIG.input_shape,
      "sigmoid"),
     (lambda: build_video_net(TINY_VIDEO_CONFIG, rng_seed=0), (3,) + TINY_VIDEO_CONFIG.input_shape,
      "softmax_lastdim"),
     (lambda: fusion.build_fusion_head(rng_seed=0), (3, 4), "softmax_lastdim"),
 ], ids=["audio", "video", "fusion"])
+
+
+@RUN_CASES
 def test_nets_end_at_the_logits(build, shape, output):
     """The output activation is the net's ``output``, not a layer: ``forward``
     stops at the logits of the last Dense layer (the only activation layer
@@ -253,6 +256,17 @@ def test_nets_end_at_the_logits(build, shape, output):
     assert isinstance(net.layers[-1][1], Dense)
     x = np.random.default_rng(3).standard_normal(shape)
     assert np.array_equal(net.run(x), ops.activation(net.forward(x), net.output))
+
+
+@RUN_CASES
+def test_run_refuses_non_finite_output(build, shape, output):
+    """A nan in the last bias makes an output nan, through either activation
+    and without a RuntimeWarning; ``run`` refuses it (DomainError, exit 3 in
+    the CLI) rather than return it as a probability."""
+    net = build()
+    net.params[list(net.params)[-1]][0] = np.nan
+    with pytest.raises(DomainError, match="non-finite network output"):
+        net.run(np.random.default_rng(3).standard_normal(shape))
 
 
 @pytest.mark.parametrize("build", [
