@@ -257,7 +257,8 @@ def run(argv=None) -> int:
         if args.fn is cmd_train and args.model == "fusion" and not (
                 args.video_dir and args.audio_dir):
             parser.error("fusion training requires --video-dir and --audio-dir")
-        args.fn(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # underflow is fine
+            args.fn(args)
         return 0
     except SystemExit as e:
         return 0 if e.code == 0 else 1
@@ -267,7 +268,7 @@ def run(argv=None) -> int:
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, GradientCheckError, DomainError) as e:
+    except (TrainingError, GradientCheckError, DomainError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except MdnnError as e:

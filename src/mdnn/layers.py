@@ -130,39 +130,39 @@ class Conv2D(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0); the backward's mask is the saved output > 0, which holds
-    exactly where the input was."""
+    """max(x, 0); the backward's mask is x > 0, kept as bool (1 byte a value)."""
 
     def forward(self, x, mode="eval"):
-        self._y = ops.activation(x, "relu")
-        return self._y
+        self._mask = x > 0.0
+        return ops.activation(x, "relu")
 
     def backward(self, grad_out):
-        return grad_out * (self._y > 0.0)
+        return grad_out * self._mask
 
 
 class Dropout(Layer):
     """Inverted dropout; ``Net.reseed_dropout`` seeds its mask stream ``rng``.
 
     A batch's mask is one draw of the batch's shape, so it equals the masks of
-    its samples drawn one after another from the same stream.
+    its samples drawn one after another from the same stream.  The mask is
+    bool; a value it keeps is scaled after the masking: (x * mask) * scale.
     """
 
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+        self.rate, self.scale = rate, 1.0 / (1.0 - rate)
         self.rng = np.random.default_rng(0)
 
     def forward(self, x, mode="eval"):
         self._mask = None
-        if mode == "train" and self.rate > 0.0:  # 0 with probability rate, else 1/(1-rate)
-            self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x if self._mask is None else x * self._mask
+        if mode == "train" and self.rate > 0.0:  # False with probability rate
+            self._mask = self.rng.random(x.shape) >= self.rate
+        return x if self._mask is None else (x * self._mask) * self.scale
 
     def backward(self, grad_out):
-        return grad_out if self._mask is None else grad_out * self._mask
+        return grad_out if self._mask is None else (grad_out * self._mask) * self.scale
 
 
 class Reshape(Layer):

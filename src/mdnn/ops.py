@@ -10,12 +10,15 @@ C*kw rows, 3x the input for a 3x3 kernel and the padded input itself when
 kw = 1, and kh GEMMs over its shifted row windows; the backward uses the same
 matrix.  ``conv2d_direct`` is a nested-loop reference kept in the package
 permanently so the two routes can always be compared.  A convolution input is
-``C x H x W`` behind any number of leading batch axes, and each GEMM runs over
-the whole batch.
+``C x H x W`` behind any number of leading batch axes.  Each GEMM runs over a
+chunk of the batch, a view whose lowered matrix and scratch product hold at
+most LOWERED_VALUES values (the whole batch when it fits); the weight gradient
+sums the items in batch order across chunks, so every result keeps its bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,10 @@ from .errors import DimensionError, GradientCheckError, ParameterError
 # float64, so one block stays in L2 cache through all of the pass's operations
 # and the whole tensor streams through memory once.
 BLOCK_VALUES = 1 << 15
+
+# Values of a convolution chunk's lowered matrix and output-sized scratch
+# product: 4 MiB of float64.  A batch past it runs a chunk at a time.
+LOWERED_VALUES = 1 << 19
 
 
 def blocks(*arrays: np.ndarray):
@@ -138,25 +145,46 @@ def _operand(low: np.ndarray, u: int, sh: int, out_h: int) -> np.ndarray:
     return rows.reshape(*rows.shape[:-4], -1, rows.shape[-2] * rows.shape[-1])
 
 
+def _item_values(spec: ConvSpec, geometry) -> int:
+    """Values of one item's L and scratch product (C'*H'*W' or C*kw*H'*W')."""
+    sh, (out_h, out_w), ckw = geometry[0], geometry[4], spec.in_channels * spec.kernel_w
+    rows = out_h + (spec.kernel_h - 1) // sh
+    return (ckw * sh * rows + max(spec.out_channels, ckw) * out_h) * out_w
+
+
+def _chunks(batch: tuple, item: int) -> list:
+    """Views, in order, of runs of the flattened ``batch`` whose items of
+    ``item`` values hold at most LOWERED_VALUES (or are one item); ``[...]``
+    if all fit.  A run slices the first axis whose items fit."""
+    if not batch or math.prod(batch) * item <= LOWERED_VALUES:
+        return [...]
+    sizes = [math.prod(batch[k + 1:]) * item for k in range(len(batch))]  # one index of axis k
+    k = next((k for k, size in enumerate(sizes) if size <= LOWERED_VALUES), len(batch) - 1)
+    step = max(LOWERED_VALUES // sizes[k], 1)
+    return [(*lead, slice(i, i + step)) for lead in np.ndindex(batch[:k])
+            for i in range(0, batch[k], step)]
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
            spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x[*B, C, H, W] with weights[C',C,kh,kw] -> [*B, C', H', W'].
 
-    One lowered matrix L (see ``_lowered``) and kh GEMMs over its shifted row
-    windows, summed: out = sum_u weights[:, :, u] @ L[rows of u].  The result
-    is contiguous (batch-major)."""
+    Per chunk of the batch, one lowered matrix L (``_lowered``) and kh GEMMs
+    over its shifted row windows, summed: out = sum_u weights[:, :, u] @
+    L[rows of u].  The result is contiguous (batch-major)."""
     x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
     bias = None if bias is None else as_f64(bias)
     geometry = _geometry(x, weights, bias, spec)
     sh, (out_h, out_w) = geometry[0], geometry[4]
     co = spec.out_channels
     out = np.empty((*x.shape[:-3], co, out_h * out_w))  # before the scratch it outlives
-    low, _ = _lowered(x, spec, geometry)
-    np.matmul(weights[:, :, 0].reshape(co, -1), _operand(low, 0, sh, out_h), out=out)
-    tmp = None
-    for u in range(1, spec.kernel_h):  # one scratch product, reused
-        tmp = np.matmul(weights[:, :, u].reshape(co, -1), _operand(low, u, sh, out_h), out=tmp)
-        out += tmp
+    for idx in _chunks(x.shape[:-3], _item_values(spec, geometry)):
+        low, _ = _lowered(x[idx], spec, geometry)
+        chunk, tmp = out[idx], None
+        np.matmul(weights[:, :, 0].reshape(co, -1), _operand(low, 0, sh, out_h), out=chunk)
+        for u in range(1, spec.kernel_h):  # one scratch product, reused
+            tmp = np.matmul(weights[:, :, u].reshape(co, -1), _operand(low, u, sh, out_h), out=tmp)
+            chunk += tmp
     if bias is not None:
         out += bias[:, None]
     return out.reshape(*x.shape[:-3], co, out_h, out_w)
@@ -205,23 +233,26 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
         raise DimensionError(
             f"grad_out shape {grad_out.shape} != {(*batch, co, out_h, out_w)}")
     g = grad_out.reshape(*batch, co, out_h * out_w)
-    batch_axes = tuple(range(len(batch)))
-    grad_bias = g.sum(axis=batch_axes + (-1,))
-    grad_weights = np.empty_like(weights)
-    low, pairs = _lowered(x, spec, geometry)
-    for u in range(kh):
-        grad_weights[:, :, u] = np.matmul(g, _operand(low, u, sh, out_h).swapaxes(-1, -2)).sum(
-            axis=batch_axes).reshape(co, c, kw)
-    dlow = low  # the adjoint's matrix reuses L's memory
-    dlow.fill(0.0)
-    tmp = None
-    for u in range(kh):
-        tmp = np.matmul(weights[:, :, u].reshape(co, -1).T, g, out=tmp)
-        dlow[_rows(u, sh, out_h)] += tmp.reshape(*batch, c, kw, out_h, out_w)
-    del tmp  # grad_input can take its memory
-    grad_input = np.zeros(x.shape)
-    for li, xi in pairs:
-        grad_input[xi] += dlow[li]
+    grad_bias = g.sum(axis=tuple(range(len(batch))) + (-1,))
+    grad_weights, grad_input = np.empty_like(weights), np.zeros(x.shape)
+    for n, idx in enumerate(_chunks(tuple(batch), _item_values(spec, geometry))):
+        low, pairs = _lowered(x[idx], spec, geometry)
+        gc, tmp = g[idx], None
+        for u in range(kh):
+            gw = np.matmul(gc, _operand(low, u, sh, out_h).swapaxes(-1, -2))
+            if n == 0:
+                grad_weights[:, :, u] = gw.sum(axis=tuple(range(gc.ndim - 2))).reshape(co, c, kw)
+            else:  # the batch's sum goes on one item at a time, in order
+                for item in gw.reshape(-1, co, c, kw):
+                    grad_weights[:, :, u] += item
+        dlow = low  # the adjoint's matrix reuses L's memory
+        dlow.fill(0.0)
+        for u in range(kh):
+            tmp = np.matmul(weights[:, :, u].reshape(co, -1).T, gc, out=tmp)
+            dlow[_rows(u, sh, out_h)] += tmp.reshape(*gc.shape[:-2], c, kw, out_h, out_w)
+        chunk = grad_input[idx]
+        for li, xi in pairs:
+            chunk[xi] += dlow[li]
     return grad_input, grad_weights, grad_bias
 
 

@@ -108,11 +108,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     is checked finite before any parameter, moment or ``t`` changes.
     """
     scratch_a, scratch_b = state["scratch"]
-    finite = scratch_b.view(bool)  # free until the update below
-    for name, g in grads.items():
-        for gb, in ops.blocks(g):
-            if not np.isfinite(gb, out=finite[:gb.size].reshape(gb.shape)).all():
-                raise TrainingError(f"non-finite gradient in tensor {name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
+        for name, g in grads.items():
+            for gb, in ops.blocks(g):  # a finite sum has finite terms; else look at each
+                if not (np.isfinite(gb.sum()) or np.isfinite(gb).all()):
+                    raise TrainingError(f"non-finite gradient in tensor {name!r}")
     state["t"] += 1
     t = state["t"]
     b1, b2 = ADAM_BETA1, ADAM_BETA2

@@ -16,7 +16,7 @@ from mdnn import model_io, trainer
 from mdnn.audio_net import TINY_AUDIO_CONFIG, audio_forward, build_audio_net
 from mdnn.cli import build_parser, run
 from mdnn.errors import ConfigError, FormatError
-from mdnn.fusion import fused_forward
+from mdnn.fusion import build_fusion_head, fused_forward
 from mdnn.layers import Dense, Net
 from mdnn.trainer import TrainConfig
 from mdnn.video_net import VideoNetConfig, build_video_net, video_forward
@@ -255,6 +255,8 @@ class TestTrainEvalPredict:
             assert done.returncode == 3, (argv, done.stdout, done.stderr)
             assert "numeric failure" in done.stderr and "Traceback" not in done.stderr
             assert "nan" not in done.stdout
+            # the one line, no NumPy warning before it
+            assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
 
     def test_train_seed_reproducible(self, workspace, tmp_path, capsys):
         manifest = str(workspace / "data" / "manifest.csv")
@@ -801,6 +803,16 @@ class TestTypedParseErrors:
         with pytest.raises(ConfigError, match="no model kind"):
             model_io.save_net(tmp_path / "d", Net([("d", Dense(6, 3))], (6,)))
         assert not (tmp_path / "d").exists()
+
+    def test_save_bundle_of_swapped_parts_writes_nothing(self, tmp_path):
+        """Audio and video nets given in each other's place are refused by
+        ``save_bundle`` before its first write, not saved as a bundle that
+        ``load_bundle`` then refuses."""
+        vnet = build_video_net(VideoNetConfig((1, 2, 5, 5), (2, 3), 1), rng_seed=1)
+        anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=2)
+        with pytest.raises(ConfigError, match=r"kinds \['audio', 'video', 'fusion'\]"):
+            model_io.save_bundle(tmp_path / "b", anet, vnet, build_fusion_head(3))
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("save, stop", [("save_net", k) for k in range(3)]
                              + [("save_bundle", k) for k in range(8)]

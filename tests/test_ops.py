@@ -136,6 +136,85 @@ class TestConv2dBackward:
         assert report["ok"], report
 
 
+# id -> (spec, input shape): every CONV_GEOMETRIES geometry behind one and
+# behind two batch axes, and a frame-major transposed view, ``TRANSPOSED``
+CHUNK_LEADING = {"one_axis": (5,), "two_axes": (2, 3)}
+CHUNK_CASES = [f"{g}-{lead}" for g in CONV_GEOMETRIES for lead in CHUNK_LEADING]
+TRANSPOSED = "valid_stride2-transposed"
+# LOWERED_VALUES, in items, that split these batches of 5 and of 2 x 3:
+# below one item (one item a chunk), one, and runs within and across axes
+CHUNK_ITEMS = [0.5, 1, 2.5, 4]
+
+
+def conv_results(spec, x, seed=21):
+    """The bytes of conv2d and of each conv2d_backward output on ``x``."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel_h,
+                             spec.kernel_w))
+    b = rng.standard_normal(spec.out_channels)
+    y = ops.conv2d(x, w, b, spec)
+    grads = ops.conv2d_backward(rng.standard_normal(y.shape), x, w, spec)
+    return [a.tobytes() for a in (y, *grads)]
+
+
+def chunk_case(case, rng):
+    """(spec, input, values of one item) of a CHUNK_CASES id or of
+    TRANSPOSED: 2 x 3 x C x H x W frames viewed from a 2 x C x 3 x H x W
+    array, never copied."""
+    g, lead = case.split("-")
+    spec, hw = CONV_GEOMETRIES[g]
+    if case == TRANSPOSED:
+        x = rng.standard_normal((2, spec.in_channels, 3, *hw)).transpose(0, 2, 1, 3, 4)
+        assert not x.flags.c_contiguous
+    else:
+        x = rng.standard_normal(CHUNK_LEADING[lead] + (spec.in_channels,) + hw)
+    w = np.zeros((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+    return spec, x, ops._item_values(spec, ops._geometry(x, w, None, spec))
+
+
+class TestChunkedConv:
+    """Past ``ops.LOWERED_VALUES``, conv2d and conv2d_backward lower and
+    differentiate the batch a chunk at a time; every output and gradient
+    keeps the one-chunk bytes."""
+
+    @pytest.mark.parametrize("items", CHUNK_ITEMS)
+    @pytest.mark.parametrize("case", CHUNK_CASES + [TRANSPOSED])
+    def test_chunks_give_the_one_chunk_bytes(self, monkeypatch, case, items):
+        spec, x, item = chunk_case(case, np.random.default_rng(22))
+        whole = conv_results(spec, x)
+        monkeypatch.setattr(ops, "LOWERED_VALUES", int(items * item))
+        assert len(ops._chunks(x.shape[:-3], item)) > 1
+        assert conv_results(spec, x) == whole
+
+    @pytest.mark.parametrize("items", CHUNK_ITEMS + [6])
+    @pytest.mark.parametrize("case", CHUNK_CASES + [TRANSPOSED])
+    def test_chunks_are_views_covering_the_batch_in_order(self, monkeypatch, case, items):
+        spec, x, item = chunk_case(case, np.random.default_rng(23))
+        monkeypatch.setattr(ops, "LOWERED_VALUES", int(items * item))
+        chunks = ops._chunks(x.shape[:-3], item)
+        order = np.arange(np.prod(x.shape[:-3])).reshape(x.shape[:-3] + (1, 1, 1))
+        assert np.array_equal(np.concatenate([order[i].ravel() for i in chunks]),
+                              order.ravel())
+        assert all(np.shares_memory(x[i], x) for i in chunks)
+        assert all(order[i].size * item <= max(ops.LOWERED_VALUES, item) for i in chunks)
+        assert (chunks == [...]) == (items == 6)
+
+    def test_one_span_per_layer_call(self, monkeypatch):
+        """A chunked Conv2D forward and backward each call the public ops
+        function once, so a tracer that wraps those sees one span a call."""
+        calls = []
+        for name in ("conv2d", "conv2d_backward"):
+            def counted(*args, _name=name, _fn=getattr(ops, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(ops, name, counted)
+        monkeypatch.setattr(ops, "LOWERED_VALUES", 1)
+        layer = Conv2D(ConvSpec(3, 3, (1, 1), "same", 2, 3))
+        y = layer.forward(np.random.default_rng(24).standard_normal((4, 2, 5, 5)))
+        layer.backward(np.ones_like(y))
+        assert calls == ["conv2d", "conv2d_backward"]
+
+
 def activation_backward(grad_out, y, kind):
     """Oracle gradient of ``ops.activation(x, kind)`` from its output ``y``,
     for the output activations: a sigmoid's Jacobian is y(1 - y), a last-axis
@@ -166,6 +245,12 @@ class TestActivations:
     def test_relu_values(self):
         y = ops.activation(np.array([-1.0, 2.0]), "relu")
         assert np.array_equal(y, [0.0, 2.0])
+
+    def test_relu_layer_keeps_a_bool_mask(self):
+        layer = ReLU()
+        layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        assert layer._mask.dtype == bool
+        assert np.array_equal(layer.backward(np.full((1, 3), 3.0)), [[0.0, 0.0, 3.0]])
 
     def test_sigmoid_symmetry(self):
         rng = np.random.default_rng(6)
@@ -228,6 +313,17 @@ class TestDropout:
     def test_rate_one_rejected(self):
         with pytest.raises(ParameterError):
             Dropout(1.0)
+
+    def test_masks_are_bool_and_keep_the_bytes(self):
+        """Dropout keeps its mask as bool and scales after masking; the bytes
+        equal those of the float mask (0 or 1/(1-rate)) it replaces."""
+        x = np.random.default_rng(25).standard_normal((3, 50))
+        layer = Dropout(0.3)
+        layer.rng = np.random.default_rng(26)
+        y = layer.forward(x, mode="train")
+        assert layer._mask.dtype == bool and layer._mask.shape == x.shape
+        assert y.tobytes() == (x * (layer._mask / (1.0 - 0.3))).tobytes()
+        assert layer.backward(x).tobytes() == y.tobytes()
 
 
 class TestGlobalAvgPool:

@@ -119,6 +119,17 @@ class TestAdam:
         for old, new in zip(before, (params, state["m"], state["v"])):
             assert all(np.array_equal(old[k], new[k]) for k in params)
 
+    def test_overflowing_gradient_sum_still_steps(self):
+        """The finiteness check sums each block; [1e308, 1e308] is finite
+        though its sum overflows, so the check looks value by value and the
+        step runs.  (Its v then overflows to inf in Adam's own arithmetic.)"""
+        p = {"w": np.ones(2)}
+        state = init_adam_state(p)
+        with np.errstate(over="ignore"):
+            adam_step(p, {"w": np.array([1e308, 1e308])}, state, TrainConfig())
+        assert state["t"] == 1
+        assert np.all(np.isfinite(state["m"]["w"]) & (state["m"]["w"] > 0))
+
 
 def single_dense_net(w_value):
     net = Net([("d", Dense(1, 1))], (1,))
