@@ -217,9 +217,8 @@ def load_part(directory, part: str, model_sha256: str | None = None) -> Net:
 def save_bundle(directory, video_net: Net, audio_net: Net, fusion_net: Net):
     directory = Path(directory)
     nets = list(zip(KINDS, (video_net, audio_net, fusion_net)))
-    if any(model_kind(net) != part for part, net in nets):  # before the first write
-        raise ConfigError(f"bundle parts of kinds {[model_kind(n) for _, n in nets]}, "
-                          f"expected {list(KINDS)}")
+    if [model_kind(net) for _, net in nets] != list(KINDS):  # before the first write
+        raise ConfigError(f"the bundle's parts must be of kinds {list(KINDS)}, in that order")
     hashes = [f"{part}_sha256={save_net(directory / part, net)}" for part, net in nets]
     _write(directory / "bundle.txt", _lines_bytes([f"concat_order={','.join(CONCAT_ORDER)}",
                                                    *hashes]))

@@ -153,14 +153,13 @@ def _item_values(spec: ConvSpec, geometry) -> int:
 
 
 def _chunks(batch: tuple, item: int) -> list:
-    """Views, in order, of runs of the flattened ``batch`` whose items of
-    ``item`` values hold at most LOWERED_VALUES (or are one item); ``[...]``
-    if all fit.  A run slices the first axis whose items fit."""
+    """Indexes of views of runs of the flattened ``batch``, in order, each within
+    LOWERED_VALUES at ``item`` values an item, or one item; ``[...]`` if all fit."""
     if not batch or math.prod(batch) * item <= LOWERED_VALUES:
         return [...]
     sizes = [math.prod(batch[k + 1:]) * item for k in range(len(batch))]  # one index of axis k
     k = next((k for k, size in enumerate(sizes) if size <= LOWERED_VALUES), len(batch) - 1)
-    step = max(LOWERED_VALUES // sizes[k], 1)
+    step = max(LOWERED_VALUES // sizes[k], 1)  # a run slices axis k, the first that fits
     return [(*lead, slice(i, i + step)) for lead in np.ndindex(batch[:k])
             for i in range(0, batch[k], step)]
 
@@ -234,7 +233,7 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
             f"grad_out shape {grad_out.shape} != {(*batch, co, out_h, out_w)}")
     g = grad_out.reshape(*batch, co, out_h * out_w)
     grad_bias = g.sum(axis=tuple(range(len(batch))) + (-1,))
-    grad_weights, grad_input = np.empty_like(weights), np.zeros(x.shape)
+    grad_weights = np.empty_like(weights)
     for n, idx in enumerate(_chunks(tuple(batch), _item_values(spec, geometry))):
         low, pairs = _lowered(x[idx], spec, geometry)
         gc, tmp = g[idx], None
@@ -250,6 +249,8 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
         for u in range(kh):
             tmp = np.matmul(weights[:, :, u].reshape(co, -1).T, gc, out=tmp)
             dlow[_rows(u, sh, out_h)] += tmp.reshape(*gc.shape[:-2], c, kw, out_h, out_w)
+        del tmp  # grad_input can take its memory
+        grad_input = np.zeros(x.shape) if n == 0 else grad_input
         chunk = grad_input[idx]
         for li, xi in pairs:
             chunk[xi] += dlow[li]

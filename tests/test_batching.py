@@ -297,7 +297,7 @@ def test_paper_scale_audio_backward_scratch_is_bounded():
     """The paper-scale audio net's backward at batch 8 differentiates conv2
     a chunk at a time (``ops.LOWERED_VALUES``), each chunk with its own
     lowered matrix and scratch product.  Lowering the whole batch at once
-    peaked at 50.0 MB under tracemalloc; chunked, at 23.9 MB."""
+    peaked at 50.0 MB under tracemalloc; chunked, at 21.3 MB."""
     net = build_audio_net()
     y = net.forward(np.random.default_rng(27).standard_normal((8, *net.input_shape)),
                     mode="train")

@@ -810,7 +810,7 @@ class TestTypedParseErrors:
         ``load_bundle`` then refuses."""
         vnet = build_video_net(VideoNetConfig((1, 2, 5, 5), (2, 3), 1), rng_seed=1)
         anet = build_audio_net(TINY_AUDIO_CONFIG, rng_seed=2)
-        with pytest.raises(ConfigError, match=r"kinds \['audio', 'video', 'fusion'\]"):
+        with pytest.raises(ConfigError, match="must be of kinds"):
             model_io.save_bundle(tmp_path / "b", anet, vnet, build_fusion_head(3))
         assert not (tmp_path / "b").exists()
 
