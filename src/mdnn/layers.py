@@ -198,33 +198,6 @@ class GlobalAvgPool(Layer):
                                self._shape) / count
 
 
-class Projection(Layer):
-    """Residual shortcut: a 1x1x1 channel projection of N x C x T x H x W, striding T, H, W."""
-
-    def __init__(self, in_channels: int, out_channels: int, stride=1):
-        super().__init__({"w": np.zeros((out_channels, in_channels)),
-                          "b": np.zeros(out_channels)}, in_channels)
-        s = slice(None, None, stride)
-        self._strided = (slice(None), slice(None), s, s, s)
-
-    def forward(self, x, mode="eval"):
-        self._shape = x.shape
-        self._xs = x[self._strided]
-        w, b = self.params["w"], self.params["b"]
-        # one GEMM over the whole batch; the result is channel-major
-        y = np.moveaxis(np.tensordot(w, self._xs, axes=([1], [1])), 0, 1)
-        return y + b[:, None, None, None]
-
-    def backward(self, grad_out):
-        rest = [0, 2, 3, 4]
-        self.grads["w"][...] = np.tensordot(grad_out, self._xs, axes=(rest, rest))
-        self.grads["b"][...] = grad_out.sum(axis=tuple(rest))
-        gs = np.moveaxis(np.tensordot(self.params["w"].T, grad_out, axes=([1], [1])), 0, 1)
-        gx = np.zeros(self._shape)
-        gx[self._strided] = gs
-        return gx
-
-
 class Composite(Layer):
     """Named child layers whose parameters form one ordered namespace.
 
@@ -252,6 +225,13 @@ class Composite(Layer):
 
     def full3d_weight_count(self) -> int:
         return sum(layer.full3d_weight_count() for _, layer in self.layers)
+
+
+def _framewise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a ``Conv2D``'s forward or backward, over the frames of the
+    channel-major N x C x T x H x W ``x`` as N x T x C x H x W views; the
+    result comes back channel-major."""
+    return fn(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
 
 
 class Conv2Plus1D(Composite):
@@ -284,8 +264,7 @@ class Conv2Plus1D(Composite):
         if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise DimensionError(
                 f"expected (N, {self.in_channels}, T, H, W), got shape {x.shape}")
-        # frames as N x T x C x H x W views; the spatial output is channel-major
-        mid = self.spatial.forward(x.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
+        mid = _framewise(self.spatial.forward, x)
         self._act = np.maximum(mid, 0.0, out=mid)  # also the ReLU's mask: act > 0
         n, c, tt, hh, ww = self._act.shape
         # each sample's pixels are the columns of one T x (H'*W') image
@@ -296,7 +275,7 @@ class Conv2Plus1D(Composite):
         n, c, tt, hh, ww = self._act.shape
         gflat = self.temporal.backward(grad_out.reshape(grad_out.shape[:3] + (hh * ww,)))
         gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
-        return self.spatial.backward(gmid.transpose(0, 2, 1, 3, 4)).transpose(0, 2, 1, 3, 4)
+        return _framewise(self.spatial.backward, gmid)
 
     def full3d_weight_count(self) -> int:
         kh, kw = self.spatial_kernel
@@ -307,17 +286,19 @@ class Residual2Plus1DBlock(Composite):
     """y = relu(conv2(relu(conv1(x))) + shortcut(x)) with (2+1)D convolutions.
 
     ``conv1`` and the shortcut stride T, H and W by ``stride``; the shortcut
-    is the identity when shape is preserved, otherwise a 1x1x1 channel
-    projection.  Parameters are named ``c1.*``, ``c2.*`` and ``proj.*``.
+    is the identity when shape is preserved, otherwise a projection (ResNet's
+    option B): a 1x1 ``Conv2D`` of stride (stride, stride) over every
+    stride-th frame.  Parameters are named ``c1.*``, ``c2.*`` and ``proj.*``.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride=1):
         self.conv1 = Conv2Plus1D(in_channels, out_channels, stride)
         self.conv2 = Conv2Plus1D(out_channels, out_channels)
-        self.projecting = in_channels != out_channels or stride != 1
+        self.stride, self.projecting = stride, in_channels != out_channels or stride != 1
         layers = [("c1", self.conv1), ("c2", self.conv2)]
         if self.projecting:
-            self.proj = Projection(in_channels, out_channels, stride)
+            self.proj = Conv2D(ConvSpec(1, 1, (stride, stride), "valid",
+                                        in_channels, out_channels))
             layers.append(("proj", self.proj))
         super().__init__(layers)
 
@@ -327,7 +308,7 @@ class Residual2Plus1DBlock(Composite):
         h = self.conv1.forward(x, mode)
         self._h = np.maximum(h, 0.0, out=h)
         h = self.conv2.forward(self._h, mode)
-        h += self.proj.forward(x, mode) if self.projecting else x
+        h += _framewise(self.proj.forward, x[:, :, ::self.stride]) if self.projecting else x
         self._y = np.maximum(h, 0.0, out=h)
         return self._y
 
@@ -336,7 +317,12 @@ class Residual2Plus1DBlock(Composite):
         gb = self.conv2.backward(g)
         gb = gb * (self._h > 0.0)
         gx = self.conv1.backward(gb)
-        return gx + (self.proj.backward(g) if self.projecting else g)
+        if self.projecting:
+            g = _framewise(self.proj.backward, g)
+            if self.stride > 1:  # the shortcut read every stride-th frame
+                g, frames = np.zeros(gx.shape), g
+                g[:, :, ::self.stride] = frames
+        return gx + g
 
 
 class Net(Composite):

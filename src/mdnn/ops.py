@@ -8,7 +8,8 @@ Convolution is cross-correlation (no kernel flip).  The production path
 lowers only the kernel-width axis (MEC: Cho & Brand, ICML 2017): a matrix of
 C*kw rows, 3x the input for a 3x3 kernel and the padded input itself when
 kw = 1, and kh GEMMs over its shifted row windows; the backward uses the same
-matrix.  ``conv2d_direct`` is a nested-loop reference kept in the package
+matrix.  At a row stride sh above kh it keeps only the kh row phases the
+kernel reads, so a 1x1 kernel of stride 2 copies only the rows it reads.  ``conv2d_direct`` is a nested-loop reference kept in the package
 permanently so the two routes can always be compared.  A convolution input is
 ``C x H x W`` behind any number of leading batch axes.  Each GEMM runs over a
 chunk of the batch, a view whose lowered matrix and scratch product hold at
@@ -117,18 +118,19 @@ def _lowered(x: np.ndarray, spec: ConvSpec, geometry):
     """The lowered matrix L of x[*B, C, H, W], and the (L index, x index) pairs
     of its blocks that hold image pixels (the rest of L is zero padding).
 
-    L[*B, C, kw, sh, Q, W'] holds the padded image's pixel (q*sh + r, j*sw + v)
+    L[*B, C, kw, P, Q, W'] holds the padded image's pixel (q*sh + r, j*sw + v)
     at [..., v, r, q, j]: only the kernel-width axis is lowered, and the rows
     u, u + sh, ... that kernel row u reads are rows u//sh onwards of phase
-    u % sh, so every GEMM operand is a view of L.
+    u % sh, so every GEMM operand is a view of L.  Only the P = min(sh, kh)
+    phases that a kernel row reads are kept.
     """
     sh, sw, ph, pw, (out_h, out_w) = geometry
     *batch, c, h, w = x.shape
-    rows = out_h + (spec.kernel_h - 1) // sh
+    phases, rows = min(sh, spec.kernel_h), out_h + (spec.kernel_h - 1) // sh
     pairs = [((..., v, r, lq, lj), (..., xi, xj))
              for v, lj, xj in _taps(w, spec.kernel_w, sw, pw[0], out_w)
-             for r, lq, xi in _taps(h, sh, sh, ph[0], rows)]
-    low = np.zeros((*batch, c, spec.kernel_w, sh, rows, out_w))
+             for r, lq, xi in _taps(h, phases, sh, ph[0], rows)]
+    low = np.zeros((*batch, c, spec.kernel_w, phases, rows, out_w))
     for li, xi in pairs:
         low[li] = x[xi]
     return low, pairs
@@ -148,8 +150,8 @@ def _operand(low: np.ndarray, u: int, sh: int, out_h: int) -> np.ndarray:
 def _item_values(spec: ConvSpec, geometry) -> int:
     """Values of one item's L and scratch product (C'*H'*W' or C*kw*H'*W')."""
     sh, (out_h, out_w), ckw = geometry[0], geometry[4], spec.in_channels * spec.kernel_w
-    rows = out_h + (spec.kernel_h - 1) // sh
-    return (ckw * sh * rows + max(spec.out_channels, ckw) * out_h) * out_w
+    phases, rows = min(sh, spec.kernel_h), out_h + (spec.kernel_h - 1) // sh
+    return (ckw * phases * rows + max(spec.out_channels, ckw) * out_h) * out_w
 
 
 def _chunks(batch: tuple, item: int) -> list:

@@ -105,14 +105,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     block runs the whole sequence on one ``ops.blocks`` run of p, g, m and v
     at a time, so each streams through memory once; the arithmetic is
     elementwise, so the bits do not depend on the block size.  Every gradient
-    is checked finite before any parameter, moment or ``t`` changes.
+    value and its square (the term v adds) are checked finite before any
+    parameter, moment or ``t`` changes.
     """
     scratch_a, scratch_b = state["scratch"]
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
         for name, g in grads.items():
-            for gb, in ops.blocks(g):  # a finite sum has finite terms; else look at each
-                if not (np.isfinite(gb.sum()) or np.isfinite(gb).all()):
-                    raise TrainingError(f"non-finite gradient in tensor {name!r}")
+            for gb, in ops.blocks(g):  # a finite sum of squares has finite terms; else look
+                if not (np.isfinite(np.vdot(gb, gb)) or np.isfinite(gb * gb).all()):
+                    raise TrainingError(f"gradient {name!r} is not finite or its square overflows")
     state["t"] += 1
     t = state["t"]
     b1, b2 = ADAM_BETA1, ADAM_BETA2

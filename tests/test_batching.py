@@ -14,7 +14,7 @@ from mdnn.audio_net import (GRADCHECK_AUDIO_CONFIG, TINY_AUDIO_CONFIG, audio_for
                             build_audio_net)
 from mdnn.errors import DimensionError
 from mdnn.fusion import FUSION_INPUT_DIM, build_fusion_head
-from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, GlobalAvgPool, Projection,
+from mdnn.layers import (Conv2D, Conv2Plus1D, Dense, Dropout, GlobalAvgPool,
                          ReLU, Reshape, Residual2Plus1DBlock)
 from mdnn.ops import ConvSpec
 from mdnn.video_net import (GRADCHECK_VIDEO_CONFIG, TINY_VIDEO_CONFIG, build_video_net,
@@ -151,7 +151,6 @@ LAYER_KINDS = {
     "conv2d": (lambda: Conv2D(ConvSpec(3, 3, (2, 2), "same", 2, 3)), (3, 2, 6, 5)),
     "conv2d_stride_2x1": (lambda: Conv2D(ConvSpec(3, 1, (2, 1), "same", 2, 3)), (3, 2, 5, 4)),
     "conv2plus1d_strided": (lambda: Conv2Plus1D(2, 3, stride=2), (3, 2, 4, 5, 5)),
-    "projection": (lambda: Projection(2, 3, stride=2), (3, 2, 4, 5, 5)),
     "residual_block": (lambda: Residual2Plus1DBlock(2, 3, stride=2), (3, 2, 4, 5, 5)),
     "flatten": (lambda: Reshape((-1,)), (3, 2, 2, 2)),
     "image": (lambda: Reshape((1, 4, 5)), (3, 4, 5, 1)),

@@ -142,6 +142,29 @@ class TestResidualBlock:
         x = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
         assert np.array_equal(block.forward(x[None])[0], np.maximum(x, 0.0))
 
+    @pytest.mark.parametrize("thw", [(4, 6, 6), (5, 7, 5)], ids=["even", "odd"])
+    @pytest.mark.parametrize("cin,cout,stride", [(2, 3, 1), (2, 3, 2), (3, 3, 2)],
+                             ids=["channels", "stride2_channels", "stride2"])
+    def test_projected_shortcut_matches_einsum(self, cin, cout, stride, thw):
+        """With both (2+1)D convolutions zeroed, a projecting block is
+        relu(w . x[:, :, ::s, ::s, ::s] + b): a 1x1x1 channel projection of
+        every stride-th voxel from the first, on T, H and W alike."""
+        block = Residual2Plus1DBlock(cin, cout, stride)
+        rng = np.random.default_rng(4)
+        block.init_params(rng)
+        for k in block.params:
+            if not k.startswith("proj."):
+                block.params[k][...] = 0.0
+        block.params["proj.b"][...] = rng.standard_normal(cout)
+        x = rng.standard_normal((2, cin) + thw)
+        s = slice(None, None, stride)
+        w, b = block.params["proj.w"][:, :, 0, 0], block.params["proj.b"]
+        want = np.maximum(np.einsum("oc,nctyx->notyx", w, x[:, :, s, s, s])
+                          + b[:, None, None, None], 0.0)
+        got = block.forward(x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_strided_block_output_shape(self):
         block = Residual2Plus1DBlock(2, 6, stride=2)
         block.init_params(np.random.default_rng(0))

@@ -20,6 +20,8 @@ CONV_GEOMETRIES = {
     "kernel_3x1_stride_2x1": (ConvSpec(3, 1, (2, 1), "same", 2, 3), (7, 4)),
     "valid": (ConvSpec(3, 3, (1, 1), "valid", 2, 3), (5, 6)),
     "valid_stride2": (ConvSpec(3, 3, (2, 2), "valid", 2, 3), (7, 6)),
+    "pointwise_stride2_even_hw": (ConvSpec(1, 1, (2, 2), "valid", 2, 3), (6, 6)),
+    "pointwise_stride2_odd_hw": (ConvSpec(1, 1, (2, 2), "valid", 2, 3), (7, 5)),
 }
 # id -> leading batch axes in front of C x H x W
 LEADING_AXES = {"no_batch": (), "one_axis": (3,), "two_axes": (2, 3)}
@@ -102,6 +104,19 @@ class TestConv2d:
         else is a ParameterError, never a TypeError."""
         with pytest.raises(ParameterError, match="stride"):
             ConvSpec(3, 3, stride)
+
+    @pytest.mark.parametrize("g", list(CONV_GEOMETRIES))
+    def test_lowered_keeps_the_row_phases_a_kernel_row_reads(self, g):
+        """Kernel row u reads row phase u % sh of L, so L keeps min(sh, kh)
+        phases: one for a 1x1 kernel at stride 2, which copies only the rows
+        it reads."""
+        spec, hw = CONV_GEOMETRIES[g]
+        x = np.random.default_rng(17).standard_normal((spec.in_channels,) + hw)
+        w = np.zeros((spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+        low, _ = ops._lowered(x, spec, ops._geometry(x, w, None, spec))
+        assert low.shape[-3] == min(spec.stride[0], spec.kernel_h)
+        if spec.kernel_h == 1:
+            assert low.size == x[:, ::spec.stride[0], ::spec.stride[1]].size
 
     def test_kernel_too_large(self):
         spec = ConvSpec(5, 5, (1, 1), "valid", 1, 1)

@@ -119,16 +119,30 @@ class TestAdam:
         for old, new in zip(before, (params, state["m"], state["v"])):
             assert all(np.array_equal(old[k], new[k]) for k in params)
 
-    def test_overflowing_gradient_sum_still_steps(self):
-        """The finiteness check sums each block; [1e308, 1e308] is finite
-        though its sum overflows, so the check looks value by value and the
-        step runs.  (Its v then overflows to inf in Adam's own arithmetic.)"""
+    def test_overflowing_gradient_square_changes_nothing(self):
+        """[1e308, 1e308] is finite, but its squares are not, so v would
+        overflow to inf: the step is refused before p, m, v or t moves."""
         p = {"w": np.ones(2)}
         state = init_adam_state(p)
-        with np.errstate(over="ignore"):
+        with pytest.raises(TrainingError, match="'w'"):
             adam_step(p, {"w": np.array([1e308, 1e308])}, state, TrainConfig())
+        assert state["t"] == 0
+        assert np.array_equal(p["w"], np.ones(2))
+        assert not state["m"]["w"].any() and not state["v"]["w"].any()
+
+    def test_overflowing_gradient_sum_still_steps(self):
+        """The check sums each block's squares; [1e154, 1e154] has finite
+        squares though their sum overflows, so the check looks value by
+        value and the step runs, with finite moments."""
+        p = {"w": np.ones(2)}
+        state = init_adam_state(p)
+        g = np.array([1e154, 1e154])
+        assert not np.isfinite(np.vdot(g, g))
+        adam_step(p, {"w": g}, state, TrainConfig())
+        v_hat = state["v"]["w"] / (1 - trainer.ADAM_BETA2)
         assert state["t"] == 1
-        assert np.all(np.isfinite(state["m"]["w"]) & (state["m"]["w"] > 0))
+        assert np.isfinite(state["v"]["w"]).all() and np.isfinite(v_hat).all()
+        assert np.isfinite(p["w"]).all() and (p["w"] < 1.0).all()
 
 
 def single_dense_net(w_value):
