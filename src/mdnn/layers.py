@@ -21,9 +21,14 @@ forward (``predict``, ``eval``, a frozen fusion part) never touches.  A
 ``Composite`` (a ``Net``, a residual block inside one, or a ``Conv2Plus1D``
 over its two ``Conv2D`` factors) is a layer whose ``params`` and ``grads`` are
 plain dicts, built once, holding its children's own arrays under one ordered
-namespace (the serialization order).  Forward passes save whatever the
-matching backward pass needs; ``backward`` must be called in exact reverse
-order of ``forward``, which ``Net`` guarantees.
+namespace (the serialization order).  A forward saves the caches its
+backward needs, and that backward reads them once and drops them, so a cache
+lives from a forward to the backward that reads it (PyTorch's saved tensors
+without ``retain_graph``): a net's backward frees each layer's caches as it
+passes, and a second backward with no forward between raises (KeyError).  An
+eval forward keeps its caches too, since ``ops.gradient_check`` runs a
+backward after one.  ``backward`` must be called in exact reverse order of
+``forward``, which ``Net`` guarantees.
 """
 
 from __future__ import annotations
@@ -99,11 +104,13 @@ class Dense(Layer):
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, grad_out):
+        x = vars(self).pop("_x")
         step = max(1, ops.BLOCK_VALUES // self.out_dim)
         for start in range(0, self.in_dim, step):
             rows = slice(start, start + step)
-            np.matmul(self._x[:, rows].T, grad_out, out=self.grads["w"][rows])
+            np.matmul(x[:, rows].T, grad_out, out=self.grads["w"][rows])
         np.sum(grad_out, axis=0, out=self.grads["b"])
+        del x  # freed before the input gradient is allocated
         return grad_out @ self.params["w"].T
 
 
@@ -123,7 +130,8 @@ class Conv2D(Layer):
         return ops.conv2d(x, self.params["w"], self.params["b"], self.spec)
 
     def backward(self, grad_out):
-        gi, gw, gb = ops.conv2d_backward(grad_out, self._x, self.params["w"], self.spec)
+        gi, gw, gb = ops.conv2d_backward(grad_out, vars(self).pop("_x"), self.params["w"],
+                                         self.spec)
         self.grads["w"][...] = gw
         self.grads["b"][...] = gb
         return gi
@@ -137,7 +145,7 @@ class ReLU(Layer):
         return ops.activation(x, "relu")
 
     def backward(self, grad_out):
-        return grad_out * self._mask
+        return grad_out * vars(self).pop("_mask")
 
 
 class Dropout(Layer):
@@ -162,7 +170,8 @@ class Dropout(Layer):
         return x if self._mask is None else (x * self._mask) * self.scale
 
     def backward(self, grad_out):
-        return grad_out if self._mask is None else (grad_out * self._mask) * self.scale
+        mask = vars(self).pop("_mask")
+        return grad_out if mask is None else (grad_out * mask) * self.scale
 
 
 class Reshape(Layer):
@@ -274,7 +283,7 @@ class Conv2Plus1D(Composite):
     def backward(self, grad_out):
         n, c, tt, hh, ww = self._act.shape
         gflat = self.temporal.backward(grad_out.reshape(grad_out.shape[:3] + (hh * ww,)))
-        gmid = gflat.reshape(n, c, tt, hh, ww) * (self._act > 0.0)
+        gmid = gflat.reshape(n, c, tt, hh, ww) * (vars(self).pop("_act") > 0.0)
         return _framewise(self.spatial.backward, gmid)
 
     def full3d_weight_count(self) -> int:
@@ -313,9 +322,9 @@ class Residual2Plus1DBlock(Composite):
         return self._y
 
     def backward(self, grad_out):
-        g = grad_out * (self._y > 0.0)
+        g = grad_out * (vars(self).pop("_y") > 0.0)
         gb = self.conv2.backward(g)
-        gb = gb * (self._h > 0.0)
+        gb = gb * (vars(self).pop("_h") > 0.0)
         gx = self.conv1.backward(gb)
         if self.projecting:
             g = _framewise(self.proj.backward, g)

@@ -83,17 +83,14 @@ def split_dataset(n_items: int, spec: SplitSpec = SplitSpec()):
 # ----- optimizer --------------------------------------------------------------
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
-    """Moments ``m`` and ``v`` per tensor, plus the two scratch buffers
-    ``adam_step`` works in: one block (``ops.BLOCK_VALUES``) each, or the
-    largest tensor's size if that is smaller, shared by every tensor, so that
-    a step allocates nothing."""
+    """Step count ``t``, empty moment dicts ``m`` and ``v``, and the two
+    scratch buffers ``adam_step`` works in: one block (``ops.BLOCK_VALUES``)
+    each, or the largest tensor's size if that is smaller, shared by every
+    tensor, so that a step after a tensor's first allocates nothing.  The
+    first step on a tensor creates its moments (m_0 = v_0 = 0 needs no zero
+    fill), so they do not exist during the first forward and backward."""
     size = min(max((p.size for p in params.values()), default=0), ops.BLOCK_VALUES)
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-        "scratch": (np.empty(size), np.empty(size)),
-    }
+    return {"t": 0, "m": {}, "v": {}, "scratch": (np.empty(size), np.empty(size))}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -106,7 +103,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     at a time, so each streams through memory once; the arithmetic is
     elementwise, so the bits do not depend on the block size.  Every gradient
     value and its square (the term v adds) are checked finite before any
-    parameter, moment or ``t`` changes.
+    parameter, moment or ``t`` changes.  The first step on a tensor creates
+    its m and v with ``np.empty`` and writes them without reading them:
+    m = (1 - beta1) * g + 0.0 and v = ((1 - beta2) * g) * g, the bits of the
+    update from m_0 = v_0 = 0 (the + 0.0 turns -0.0 into 0 * beta1's +0.0).
     """
     scratch_a, scratch_b = state["scratch"]
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
@@ -118,14 +118,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state["t"]
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
+        first = name not in state["m"]
+        if first:
+            state["m"][name], state["v"][name] = np.empty_like(p), np.empty_like(p)
         for pb, g, m, v in ops.blocks(p, grads[name], state["m"][name], state["v"][name]):
             a = scratch_a[:pb.size].reshape(pb.shape)
             b = scratch_b[:pb.size].reshape(pb.shape)
-            m *= b1
-            m += np.multiply(1 - b1, g, out=a)
-            v *= b2
-            np.multiply(1 - b2, g, out=a)
-            v += np.multiply(a, g, out=a)
+            if first:
+                np.multiply(1 - b1, g, out=m)
+                m += 0.0
+                np.multiply(1 - b2, g, out=v)
+                v *= g
+            else:
+                m *= b1
+                m += np.multiply(1 - b1, g, out=a)
+                v *= b2
+                np.multiply(1 - b2, g, out=a)
+                v += np.multiply(a, g, out=a)
             np.divide(m, 1 - b1 ** t, out=a)  # m_hat
             a *= config.learning_rate
             np.divide(v, 1 - b2 ** t, out=b)  # v_hat
@@ -251,8 +260,12 @@ def train_net(net: Net, train_set, val_set, config: TrainConfig,
     ``forward_fn`` is for wrappers of it that a tracer times by name.  Each
     minibatch runs one train-mode forward and one ``net.backward``, so the
     layer caches hold exactly one minibatch and memory grows with
-    ``batch_size``; each epoch ends with ``evaluate`` of that forward on
-    ``val_set``.  ``loss_kind`` is "onehot" (BCE over a softmax output) or
+    ``batch_size``.  The backward frees the caches as it goes, and the first
+    ``adam_step`` creates the moments after it, so the first step's peak is
+    the parameters and gradients plus the larger of the caches (with the
+    backward's scratch) and the moments; a later step holds the moments
+    beside its forward's caches.  Each epoch ends with ``evaluate`` of that
+    forward on ``val_set``.  ``loss_kind`` is "onehot" (BCE over a softmax output) or
     "sigmoid" (two-sided BCE over uncoupled sigmoid outputs); it defaults to
     the one ``LOSSES`` pairs with ``net.output``, and must match it (else
     ConfigError).  For both pairs dL/d(logits) is (p - y)/N, so the backward

@@ -254,6 +254,36 @@ def test_eval_batches_stay_under_the_budget(monkeypatch, entry, budget, sizes):
     assert seen == sizes
 
 
+def held_arrays(layer) -> list[str]:
+    """The attributes of ``layer`` and of its child layers that hold an array
+    other than ``params`` and ``grads``: the rule of the benchmark's
+    ``held_bytes`` (``perfbench/workloads.py``)."""
+    held = []
+    for key, val in vars(layer).items():
+        if key in ("params", "grads"):
+            continue
+        if isinstance(val, np.ndarray):
+            held.append(key)
+        elif hasattr(val, "params") and hasattr(val, "backward"):  # child layer
+            held += [f"{key}.{k}" for k in held_arrays(val)]
+    return held
+
+
+@pytest.mark.parametrize("name", ["video_tiny", "audio_tiny", "fusion"])
+def test_backward_frees_every_cache(name):
+    """A train forward's caches live until the backward that reads them:
+    after it no layer holds an array but its parameters and gradients, and
+    a second backward, with no forward's caches to read, raises."""
+    net, _, xs = make(name)
+    y = net.forward(xs, mode="train")
+    held = lambda: [f"{n}.{k}" for n, layer in net.layers for k in held_arrays(layer)]
+    assert held()
+    net.backward(np.ones_like(y) / N)
+    assert held() == []
+    with pytest.raises(KeyError):
+        net.backward(np.ones_like(y) / N)
+
+
 def dense_wider_than_a_block(in_dim, out_dim, n, seed=0):
     layer = Dense(in_dim, out_dim)
     rng = np.random.default_rng(seed)
@@ -265,13 +295,14 @@ def dense_wider_than_a_block(in_dim, out_dim, n, seed=0):
 
 def test_dense_weight_gradient_written_block_by_block():
     """A weight of several row blocks and a ragged last one: the gradient is
-    X.T @ G, and a second backward writes the same bits again."""
+    X.T @ G, and a second forward and backward write the same bits again."""
     layer, x, g = dense_wider_than_a_block(4103, 24, N)
     assert layer.params["w"].size > 3 * ops.BLOCK_VALUES
     expected = x.T @ g
     close(layer.backward(g), g @ layer.params["w"].T)
     assert np.max(np.abs(layer.grads["w"] - expected)) <= 1e-13 * np.max(np.abs(expected))
     first = layer.grads["w"].copy()
+    layer.forward(x)
     layer.backward(g)
     assert np.array_equal(layer.grads["w"], first)
 
@@ -282,6 +313,7 @@ def test_dense_backward_allocates_about_one_block():
     weight-sized temporary."""
     layer, x, g = dense_wider_than_a_block(8192, 64, 2)
     layer.backward(g)
+    layer.forward(x)
     tracemalloc.start()
     try:
         grad_in = layer.backward(g)

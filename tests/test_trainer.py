@@ -54,8 +54,10 @@ class TestAdam:
         assert np.abs(p["w"]).max() < 0.01
 
     def test_bitwise_equal_to_textbook_formula(self):
-        """adam_step computes into scratch buffers; the formula it replaced,
-        kept here as the oracle, gives the same bits for p, m and v."""
+        """adam_step computes into scratch buffers and creates the moments at
+        its first step; the formula it replaced, kept here as the oracle with
+        its own zero moments, gives the same bits for p, m and v after the
+        first step and after the sixth, -0.0 gradient entries included."""
         def oracle(params, grads, state, config):
             state["t"] += 1
             t, b1, b2 = state["t"], trainer.ADAM_BETA1, trainer.ADAM_BETA2
@@ -78,17 +80,23 @@ class TestAdam:
             params = {k: np.random.default_rng(6).standard_normal(s)
                       for k, s in shapes.items()}
             state = init_adam_state(params)
+            if step_fn is oracle:
+                state["m"] = {k: np.zeros_like(v) for k, v in params.items()}
+                state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
             grad_rng = np.random.default_rng(7)
+            snapshots = []
             for _ in range(6):
                 grads = {k: grad_rng.standard_normal(s) for k, s in shapes.items()}
+                for g in grads.values():
+                    g.reshape(-1)[::3] = -0.0
                 step_fn(params, grads, state, cfg)
-            runs.append((params, state))
-        (p1, s1), (p2, s2) = runs
-        assert s1["t"] == s2["t"] == 6
-        for k in shapes:
-            assert np.array_equal(p1[k], p2[k])
-            assert np.array_equal(s1["m"][k], s2["m"][k])
-            assert np.array_equal(s1["v"][k], s2["v"][k])
+                snapshots.append([{k: d[k].tobytes() for k in shapes}
+                                  for d in (params, state["m"], state["v"])])
+            runs.append((state["t"], snapshots))
+        (t1, snaps1), (t2, snaps2) = runs
+        assert t1 == t2 == 6
+        for step in (0, 5):
+            assert snaps1[step] == snaps2[step], f"step {step + 1}"
 
     @pytest.mark.parametrize("scale", [10.0, 0.1])
     def test_step_nearly_invariant_to_gradient_scale(self, scale):
@@ -128,7 +136,7 @@ class TestAdam:
             adam_step(p, {"w": np.array([1e308, 1e308])}, state, TrainConfig())
         assert state["t"] == 0
         assert np.array_equal(p["w"], np.ones(2))
-        assert not state["m"]["w"].any() and not state["v"]["w"].any()
+        assert state["m"] == {} and state["v"] == {}
 
     def test_overflowing_gradient_sum_still_steps(self):
         """The check sums each block's squares; [1e154, 1e154] has finite
@@ -447,7 +455,9 @@ def assert_namespace_holds_children(composite):
 
 class TestOwnership:
     """Parameters, gradients and Adam buffers are allocated once and only ever
-    written in place, so a reference taken at construction stays live."""
+    written in place, so a reference taken when one is made stays live: the
+    parameters, gradients and Adam scratch at construction, the moments at
+    the first Adam step."""
 
     @pytest.mark.parametrize("kind", ["audio", "video"])
     def test_arrays_keep_their_identity(self, kind, monkeypatch):
@@ -455,17 +465,24 @@ class TestOwnership:
                else build_video_net(TINY_VIDEO_CONFIG, rng_seed=0))
         rng = np.random.default_rng(0)
         train = [(rng.standard_normal(net.config.input_shape), onehot(i % 2)) for i in range(4)]
-        states = []
+        scratches, firsts = [], []
 
         def adam_arrays(state):
             return [*state["m"].values(), *state["v"].values(), *state["scratch"]]
 
         def recording_init(params):
             state = init_adam_state(params)
-            states.append((state, adam_arrays(state)))
+            scratches.append(state["scratch"])
             return state
 
+        def recording_step(params, grads, state, config):
+            adam_step(params, grads, state, config)
+            if state["t"] == 1:
+                firsts.append((state, adam_arrays(state)))
+            return params, state
+
         monkeypatch.setattr(trainer, "init_adam_state", recording_init)
+        monkeypatch.setattr(trainer, "adam_step", recording_step)
         params, grads = dict(net.params), dict(net.grads)
         before = {k: v.copy() for k, v in params.items()}
         net.init_params(1)
@@ -477,9 +494,29 @@ class TestOwnership:
         assert all(net.params[k] is v for k, v in params.items())
         assert all(net.grads[k] is v for k, v in grads.items())
         assert_namespace_holds_children(net)
-        (state, arrays), = states
-        assert len(adam_arrays(state)) == len(arrays)
+        (scratch,), ((state, arrays),) = scratches, firsts
+        assert state["t"] == 2
+        assert all(a is b for a, b in zip(state["scratch"], scratch))
+        assert len(adam_arrays(state)) == len(arrays) == 2 * len(params) + 2
         assert all(a is b for a, b in zip(adam_arrays(state), arrays))
+
+    def test_paper_scale_epoch_peak_is_the_moments(self):
+        """One paper-scale audio epoch of one batch of 8: each backward frees
+        the forward's caches, and the first Adam step creates the moments,
+        so the peak of what the epoch allocates is about Adam's m and v
+        (108.9 MiB), not m and v beside the caches (148.2 MiB when both
+        lived through the step)."""
+        net = build_audio_net()
+        rng = np.random.default_rng(0)
+        train = [(rng.standard_normal(net.input_shape), onehot(i % 2)) for i in range(8)]
+        moments = 2 * sum(p.nbytes for p in net.params.values())
+        tracemalloc.start()
+        try:
+            train_net(net, train, [], TrainConfig(epochs=1, batch_size=8, rng_seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= moments + (8 << 20)
 
     def test_adam_step_allocates_nothing(self):
         params = {"w": np.ones((256, 256)), "b": np.ones(256)}
