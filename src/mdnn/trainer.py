@@ -87,8 +87,8 @@ def init_adam_state(params: dict[str, np.ndarray]) -> dict:
     scratch buffers ``adam_step`` works in: one block (``ops.BLOCK_VALUES``)
     each, or the largest tensor's size if that is smaller, shared by every
     tensor, so that a step after a tensor's first allocates nothing.  The
-    first step on a tensor creates its moments (m_0 = v_0 = 0 needs no zero
-    fill), so they do not exist during the first forward and backward."""
+    first step on a tensor creates its zero moments, so they do not exist
+    during the first forward and backward."""
     size = min(max((p.size for p in params.values()), default=0), ops.BLOCK_VALUES)
     return {"t": 0, "m": {}, "v": {}, "scratch": (np.empty(size), np.empty(size))}
 
@@ -104,9 +104,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     elementwise, so the bits do not depend on the block size.  Every gradient
     value and its square (the term v adds) are checked finite before any
     parameter, moment or ``t`` changes.  The first step on a tensor creates
-    its m and v with ``np.empty`` and writes them without reading them:
-    m = (1 - beta1) * g + 0.0 and v = ((1 - beta2) * g) * g, the bits of the
-    update from m_0 = v_0 = 0 (the + 0.0 turns -0.0 into 0 * beta1's +0.0).
+    its m and v as zeros (m_0 = v_0 = 0), after the checks.
     """
     scratch_a, scratch_b = state["scratch"]
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow
@@ -118,23 +116,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state["t"]
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
-        first = name not in state["m"]
-        if first:
-            state["m"][name], state["v"][name] = np.empty_like(p), np.empty_like(p)
+        if name not in state["m"]:
+            state["m"][name], state["v"][name] = np.zeros_like(p), np.zeros_like(p)
         for pb, g, m, v in ops.blocks(p, grads[name], state["m"][name], state["v"][name]):
             a = scratch_a[:pb.size].reshape(pb.shape)
             b = scratch_b[:pb.size].reshape(pb.shape)
-            if first:
-                np.multiply(1 - b1, g, out=m)
-                m += 0.0
-                np.multiply(1 - b2, g, out=v)
-                v *= g
-            else:
-                m *= b1
-                m += np.multiply(1 - b1, g, out=a)
-                v *= b2
-                np.multiply(1 - b2, g, out=a)
-                v += np.multiply(a, g, out=a)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            v *= b2
+            np.multiply(1 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
             np.divide(m, 1 - b1 ** t, out=a)  # m_hat
             a *= config.learning_rate
             np.divide(v, 1 - b2 ** t, out=b)  # v_hat

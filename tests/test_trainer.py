@@ -55,14 +55,16 @@ class TestAdam:
 
     def test_bitwise_equal_to_textbook_formula(self):
         """adam_step computes into scratch buffers and creates the moments at
-        its first step; the formula it replaced, kept here as the oracle with
-        its own zero moments, gives the same bits for p, m and v after the
-        first step and after the sixth, -0.0 gradient entries included."""
+        its first step; the formula it replaced, kept here as the oracle,
+        gives the same bits for p, m and v after the first step and after the
+        sixth, -0.0 gradient entries included."""
         def oracle(params, grads, state, config):
             state["t"] += 1
             t, b1, b2 = state["t"], trainer.ADAM_BETA1, trainer.ADAM_BETA2
             for name, p in params.items():
-                g, m, v = grads[name], state["m"][name], state["v"][name]
+                g = grads[name]
+                m = state["m"].setdefault(name, np.zeros_like(p))
+                v = state["v"].setdefault(name, np.zeros_like(p))
                 m *= b1
                 m += (1 - b1) * g
                 v *= b2
@@ -80,9 +82,6 @@ class TestAdam:
             params = {k: np.random.default_rng(6).standard_normal(s)
                       for k, s in shapes.items()}
             state = init_adam_state(params)
-            if step_fn is oracle:
-                state["m"] = {k: np.zeros_like(v) for k, v in params.items()}
-                state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
             grad_rng = np.random.default_rng(7)
             snapshots = []
             for _ in range(6):
