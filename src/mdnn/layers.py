@@ -296,8 +296,9 @@ class Residual2Plus1DBlock(Composite):
 
     ``conv1`` and the shortcut stride T, H and W by ``stride``; the shortcut
     is the identity when shape is preserved, otherwise a projection (ResNet's
-    option B): a 1x1 ``Conv2D`` of stride (stride, stride) over every
-    stride-th frame.  Parameters are named ``c1.*``, ``c2.*`` and ``proj.*``.
+    option B), a 1x1 ``Conv2D`` of stride (stride, stride) over every stride-th
+    frame; its gradient is added in place onto those frames of conv1's input
+    gradient.  Parameters are named ``c1.*``, ``c2.*`` and ``proj.*``.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride=1):
@@ -328,10 +329,8 @@ class Residual2Plus1DBlock(Composite):
         gx = self.conv1.backward(gb)
         if self.projecting:
             g = _framewise(self.proj.backward, g)
-            if self.stride > 1:  # the shortcut read every stride-th frame
-                g, frames = np.zeros(gx.shape), g
-                g[:, :, ::self.stride] = frames
-        return gx + g
+        gx[:, :, ::self.stride] += g  # gx holds no -0.0 (ops.conv2d_backward)
+        return gx
 
 
 class Net(Composite):

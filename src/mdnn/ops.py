@@ -11,10 +11,10 @@ kw = 1, and kh GEMMs over its shifted row windows; the backward uses the same
 matrix.  At a row stride sh above kh it keeps only the kh row phases the
 kernel reads, so a 1x1 kernel of stride 2 copies only the rows it reads.  ``conv2d_direct`` is a nested-loop reference kept in the package
 permanently so the two routes can always be compared.  A convolution input is
-``C x H x W`` behind any number of leading batch axes.  Each GEMM runs over a
-chunk of the batch, a view whose lowered matrix and scratch product hold at
-most LOWERED_VALUES values (the whole batch when it fits); the weight gradient
-sums the items in batch order across chunks, so every result keeps its bytes.
+``C x H x W`` behind any number of leading batch axes.  The GEMMs run over the
+whole batch if its lowered matrix and scratch product fit in LOWERED_VALUES
+values, else over one item (a view) at a time; the weight gradient sums the
+items in batch order either way, so every result keeps its bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import DimensionError, GradientCheckError, ParameterError
 BLOCK_VALUES = 1 << 15
 
 # Values of a convolution chunk's lowered matrix and output-sized scratch
-# product: 4 MiB of float64.  A batch past it runs a chunk at a time.
+# product: 4 MiB of float64.  A batch past it runs one item at a time.
 LOWERED_VALUES = 1 << 19
 
 
@@ -155,22 +155,16 @@ def _item_values(spec: ConvSpec, geometry) -> int:
 
 
 def _chunks(batch: tuple, item: int) -> list:
-    """Indexes of views of runs of the flattened ``batch``, in order, each within
-    LOWERED_VALUES at ``item`` values an item, or one item; ``[...]`` if all fit."""
-    if not batch or math.prod(batch) * item <= LOWERED_VALUES:
-        return [...]
-    sizes = [math.prod(batch[k + 1:]) * item for k in range(len(batch))]  # one index of axis k
-    k = next((k for k, size in enumerate(sizes) if size <= LOWERED_VALUES), len(batch) - 1)
-    step = max(LOWERED_VALUES // sizes[k], 1)  # a run slices axis k, the first that fits
-    return [(*lead, slice(i, i + step)) for lead in np.ndindex(batch[:k])
-            for i in range(0, batch[k], step)]
+    """Indexes of views of ``batch``, in order: ``[...]`` if its lowered matrices
+    fit in LOWERED_VALUES at ``item`` values an item, otherwise one per item."""
+    return [...] if math.prod(batch) * item <= LOWERED_VALUES else list(np.ndindex(batch))
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
            spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x[*B, C, H, W] with weights[C',C,kh,kw] -> [*B, C', H', W'].
 
-    Per chunk of the batch, one lowered matrix L (``_lowered``) and kh GEMMs
+    Per chunk (``_chunks``), one lowered matrix L (``_lowered``) and kh GEMMs
     over its shifted row windows, summed: out = sum_u weights[:, :, u] @
     L[rows of u].  The result is contiguous (batch-major)."""
     x, weights = np.asarray(x, dtype=np.float64), as_f64(weights)
@@ -218,11 +212,12 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
     """Gradients of the cross-correlation: (grad_input, grad_weights, grad_bias).
 
     ``saved_input`` is the x[*B, C, H, W] given to ``conv2d``; the weight and
-    bias gradients are summed over the batch.  Both use the forward's lowered
-    matrix L: grad_weights[:, :, u] = grad_out @ L[rows of u].T, and the input
-    gradient is the forward's adjoint, the products weights[:, :, u].T @
-    grad_out added into the same rows of an L-shaped matrix, whose blocks are
-    then added back into the image.
+    bias gradients are summed over the batch, the weights' in batch order even
+    one item (``_chunks``) at a time.  Both use the forward's lowered matrix L:
+    grad_weights[:, :, u] = grad_out @ L[rows of u].T, and the input gradient
+    is the forward's adjoint, the products weights[:, :, u].T @ grad_out added
+    into the same rows of an L-shaped matrix, whose blocks are then added onto
+    zeros: +0.0 plus any value is never -0.0, so the result holds no -0.0.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     x, weights = np.asarray(saved_input, dtype=np.float64), as_f64(weights)
@@ -241,11 +236,11 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
         gc, tmp = g[idx], None
         for u in range(kh):
             gw = np.matmul(gc, _operand(low, u, sh, out_h).swapaxes(-1, -2))
+            gw = gw.sum(axis=tuple(range(gc.ndim - 2))).reshape(co, c, kw)
             if n == 0:
-                grad_weights[:, :, u] = gw.sum(axis=tuple(range(gc.ndim - 2))).reshape(co, c, kw)
-            else:  # the batch's sum goes on one item at a time, in order
-                for item in gw.reshape(-1, co, c, kw):
-                    grad_weights[:, :, u] += item
+                grad_weights[:, :, u] = gw
+            else:  # past the first item, the batch's sum goes on one item at a time
+                grad_weights[:, :, u] += gw
         dlow = low  # the adjoint's matrix reuses L's memory
         dlow.fill(0.0)
         for u in range(kh):

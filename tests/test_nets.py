@@ -165,6 +165,34 @@ class TestResidualBlock:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 
+    def test_shortcut_gradient_is_added_in_place(self):
+        """A projecting stride-2 block's backward returns the array its
+        conv1.backward returned, with the shortcut's gradient, a 1x1 channel
+        projection back onto every stride-th voxel, added onto it in place
+        and the frames the shortcut did not read left as conv1 gave them."""
+        block = Residual2Plus1DBlock(2, 3, stride=2)
+        rng = np.random.default_rng(7)
+        block.init_params(rng)
+        returned = []
+
+        def conv1_backward(grad, _backward=block.conv1.backward):
+            returned.append(_backward(grad))
+            returned.append(returned[0].copy())
+            return returned[0]
+
+        block.conv1.backward = conv1_backward
+        y = block.forward(rng.standard_normal((2, 2, 5, 6, 6)), mode="train")
+        grad_out = rng.standard_normal(y.shape)
+        shortcut = np.einsum("oc,notyx->nctyx", block.params["proj.w"][:, :, 0, 0],
+                             grad_out * (y > 0.0))
+        gx = block.backward(grad_out)
+        conv1_gx, before = returned
+        assert gx is conv1_gx
+        assert np.array_equal(gx[:, :, 1::2], before[:, :, 1::2])
+        want = before.copy()
+        want[:, :, ::2, ::2, ::2] += shortcut
+        assert np.abs(gx - want).max() <= 1e-12
+
     def test_strided_block_output_shape(self):
         block = Residual2Plus1DBlock(2, 6, stride=2)
         block.init_params(np.random.default_rng(0))

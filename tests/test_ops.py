@@ -1,5 +1,6 @@
 """Kernel tests: hand cases, independent oracles, finite differences."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -150,14 +151,38 @@ class TestConv2dBackward:
         report = ops.gradient_check(ConvOp(spec, rng), rng.standard_normal(shape))
         assert report["ok"], report
 
+    @pytest.mark.parametrize("lowered", [None, 1], ids=["whole_batch", "one_item"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("g", list(CONV_GEOMETRIES))
+    def test_input_gradient_holds_no_negative_zero(self, monkeypatch, g, stride, lowered):
+        """The input gradient is summed onto zeros, and under IEEE rounding
+        +0.0 plus any value is never -0.0, so no entry is -0.0: not where
+        every product is -0.0 (an all -0.0 output gradient times positive
+        weights), nor where no output reads the pixel.  A residual block adds
+        its shortcut's gradient in place onto only the frames the shortcut
+        read; the frames it leaves alone have the bytes an add of the +0.0
+        shortcut gradient gave them only because none holds a -0.0."""
+        spec, hw = CONV_GEOMETRIES[g]
+        spec = dataclasses.replace(spec, stride=(stride, stride))
+        if lowered:
+            monkeypatch.setattr(ops, "LOWERED_VALUES", lowered)
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((2, spec.in_channels) + hw)
+        w = np.abs(rng.standard_normal((spec.out_channels, spec.in_channels,
+                                        spec.kernel_h, spec.kernel_w)))
+        shape = ops.conv2d(x, w, None, spec).shape
+        for grad_out in (np.full(shape, -0.0), rng.standard_normal(shape)):
+            gi = ops.conv2d_backward(grad_out, x, w, spec)[0]
+            assert not np.signbit(gi[gi == 0.0]).any()
+
 
 # id -> (spec, input shape): every CONV_GEOMETRIES geometry behind one and
 # behind two batch axes, and a frame-major transposed view, ``TRANSPOSED``
 CHUNK_LEADING = {"one_axis": (5,), "two_axes": (2, 3)}
 CHUNK_CASES = [f"{g}-{lead}" for g in CONV_GEOMETRIES for lead in CHUNK_LEADING]
 TRANSPOSED = "valid_stride2-transposed"
-# LOWERED_VALUES, in items, that split these batches of 5 and of 2 x 3:
-# below one item (one item a chunk), one, and runs within and across axes
+# LOWERED_VALUES, in items, too small for these batches of 5 and of 2 x 3, so
+# that each runs one item a chunk: below one item, one, and several
 CHUNK_ITEMS = [0.5, 1, 2.5, 4]
 
 
@@ -189,7 +214,7 @@ def chunk_case(case, rng):
 
 class TestChunkedConv:
     """Past ``ops.LOWERED_VALUES``, conv2d and conv2d_backward lower and
-    differentiate the batch a chunk at a time; every output and gradient
+    differentiate the batch one item at a time; every output and gradient
     keeps the one-chunk bytes."""
 
     @pytest.mark.parametrize("items", CHUNK_ITEMS)
@@ -213,6 +238,8 @@ class TestChunkedConv:
         assert all(np.shares_memory(x[i], x) for i in chunks)
         assert all(order[i].size * item <= max(ops.LOWERED_VALUES, item) for i in chunks)
         assert (chunks == [...]) == (items == 6)
+        if items < 6:  # a batch that does not fit runs one item a chunk
+            assert len(chunks) == order.size
 
     def test_one_span_per_layer_call(self, monkeypatch):
         """A chunked Conv2D forward and backward each call the public ops
