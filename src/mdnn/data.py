@@ -124,12 +124,15 @@ def preprocess_video(frames: np.ndarray, target: tuple[int, int, int, int]) -> n
 
 def video_input(path, shape: tuple[int, int, int, int]) -> np.ndarray:
     """A tensor container file as a video network input of ``shape``; a file
-    whose rank or channel count does not fit is a FormatError naming it."""
+    whose rank or channel count does not fit is a FormatError naming it, and
+    one with a non-finite value a DomainError naming it."""
     frames = read_container(path)
     try:
         return preprocess_video(frames, shape)
     except DimensionError as e:
         raise FormatError(f"{path}: {e}") from e
+    except DomainError as e:
+        raise DomainError(f"{path}: {e}") from e
 
 
 def audio_input(path, n_frames: int) -> np.ndarray:

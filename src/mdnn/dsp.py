@@ -46,11 +46,11 @@ class AudioClip:
 
 
 def load_wav(path) -> AudioClip:
-    """Parse a RIFF/WAVE file: PCM 16-bit little-endian, mono, 16 kHz only."""
+    """Parse a RIFF/WAVE file (PCM 16-bit LE, mono, 16 kHz only); errors name ``path``."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise UnsupportedFormatError("not a RIFF/WAVE file")
+        raise UnsupportedFormatError(f"{path}: not a RIFF/WAVE file")
     fmt = None
     data = None
     pos = 12
@@ -58,7 +58,7 @@ def load_wav(path) -> AudioClip:
         cid = blob[pos:pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
         if pos + 8 + size > len(blob):
-            raise FormatError(f"truncated WAV: chunk {cid!r} claims {size} bytes, "
+            raise FormatError(f"{path}: truncated WAV: chunk {cid!r} claims {size} bytes, "
                               f"{len(blob) - pos - 8} remain")
         body = blob[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
@@ -67,17 +67,17 @@ def load_wav(path) -> AudioClip:
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or len(fmt) < 16:
-        raise UnsupportedFormatError("missing fmt chunk")
+        raise UnsupportedFormatError(f"{path}: missing fmt chunk")
     if data is None:
-        raise UnsupportedFormatError("missing data chunk")
+        raise UnsupportedFormatError(f"{path}: missing data chunk")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format != 1 or bits != 16:
         raise UnsupportedFormatError(
-            f"codec: expected PCM 16-bit, got format={audio_format}, bits={bits}")
+            f"{path}: codec: expected PCM 16-bit, got format={audio_format}, bits={bits}")
     if channels != 1:
-        raise UnsupportedFormatError(f"channel count: expected mono, got {channels}")
+        raise UnsupportedFormatError(f"{path}: channel count: expected mono, got {channels}")
     if rate != SAMPLE_RATE:
-        raise UnsupportedFormatError(f"sample rate: expected {SAMPLE_RATE}, got {rate}")
+        raise UnsupportedFormatError(f"{path}: sample rate: expected {SAMPLE_RATE}, got {rate}")
     ints = np.frombuffer(data[:len(data) // 2 * 2], dtype="<i2")
     return AudioClip(samples=np.divide(ints, 32768.0, dtype=np.float64))  # one pass
 

@@ -255,9 +255,8 @@ def conv2d_backward(grad_out: np.ndarray, saved_input: np.ndarray, weights: np.n
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
+    """A net's output activation (``Net.output``): sigmoid or softmax_lastdim."""
     x = as_f64(x)
-    if kind == "relu":
-        return np.maximum(x, 0.0)
     if kind == "sigmoid":
         with np.errstate(over="ignore"):  # exp overflows to inf below -709: exactly 0.0
             return 1.0 / (1.0 + np.exp(-x))

@@ -234,7 +234,7 @@ class TestTrainEvalPredict:
         dm.write_container(video, frames)
         assert run(["predict", "--model-dir", str(workspace / "bundle"),
                     "--video", str(video), "--audio", row.audio_path]) == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert f"{video}: video contains non-finite values" in capsys.readouterr().err
 
     def test_overflowing_bundle_is_numeric_failure(self, workspace, tmp_path):
         """A bundle whose video parameters are scaled by 1e150, its hashes
@@ -645,6 +645,19 @@ class TestTypedParseErrors:
         assert run(argv + ["--data", str(manifest)]) == 2
         assert f"{manifest}: need at least 3 items to split, got {rows}" in \
             capsys.readouterr().err
+
+    def test_eval_names_the_bad_wav_of_a_manifest(self, workspace, tmp_path, capsys):
+        """One unreadable WAV among a manifest's rows is a data error whose
+        message names that file, not only what is wrong with it."""
+        rows = dm.read_manifest(workspace / "data" / "manifest.csv")
+        bad = tmp_path / "junk.wav"
+        bad.write_bytes(b"junk")
+        i = trainer.split_dataset(len(rows))[2][0]  # a row of the test split
+        rows[i] = dataclasses.replace(rows[i], audio_path=str(bad))
+        dm.write_manifest(tmp_path / "m.csv", rows)
+        assert run(["eval", "--model-dir", str(workspace / "audio"),
+                    "--data", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not a RIFF/WAVE file\n"
 
     def test_manifest_label_not_a_number(self, workspace, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

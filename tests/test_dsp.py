@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mdnn import dsp
 from mdnn.data import uniform_indices
-from mdnn.errors import DimensionError, InputError, UnsupportedFormatError
+from mdnn.errors import DimensionError, FormatError, InputError, UnsupportedFormatError
 
 
 def build_wav(samples, rate=16000, channels=1, bits=16, audio_format=1):
@@ -64,6 +64,23 @@ class TestLoadWav:
         p.write_bytes(build_wav([0], audio_format=3))
         with pytest.raises(UnsupportedFormatError, match="codec"):
             dsp.load_wav(p)
+
+    @pytest.mark.parametrize("blob", [
+        b"junk",
+        build_wav([0])[:30],
+        build_wav([0])[:12] + build_wav([0])[36:],
+        build_wav([0])[:36],
+        build_wav([0], audio_format=3),
+        build_wav([0], channels=2),
+        build_wav([0], rate=44100),
+    ], ids=["not_riff", "truncated", "no_fmt", "no_data", "codec", "stereo", "rate"])
+    def test_every_error_names_the_file(self, tmp_path, blob):
+        """A WAV of a manifest of many is refused with its path first."""
+        p = tmp_path / "bad.wav"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError) as e:
+            dsp.load_wav(p)
+        assert str(e.value).startswith(f"{p}: ")
 
     def test_write_read_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)

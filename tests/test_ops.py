@@ -285,8 +285,8 @@ class OutputActivation(Layer):
 
 class TestActivations:
     def test_relu_values(self):
-        y = ops.activation(np.array([-1.0, 2.0]), "relu")
-        assert np.array_equal(y, [0.0, 2.0])
+        y = ReLU().forward(np.array([[-1.0, 2.0]]))
+        assert np.array_equal(y, [[0.0, 2.0]])
 
     def test_relu_layer_keeps_a_bool_mask(self):
         layer = ReLU()
